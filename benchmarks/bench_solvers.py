@@ -8,13 +8,17 @@ Python kernels.
 import numpy as np
 import pytest
 
+from repro.core.placement import CascadeLegalizer
+from repro.core.placement.legalization import _Entity
+from repro.fpga import small_device
+from repro.fpga.device import SiteColumn
+from repro.netlist import Netlist
 from repro.solvers import (
     ColumnBlock,
     MinCostFlow,
     hungarian,
     legalize_column_rows,
     min_cost_assignment,
-    solve_ilp,
 )
 
 
@@ -71,26 +75,18 @@ def test_bench_intra_column_dp(benchmark):
 
 
 def test_bench_ilp_intercolumn_shape(benchmark):
-    """An eq.-(10)-shaped ILP: 60 entities x 6 columns."""
+    """The eq.-(10) MILP of the cascade legalizer: 60 entities x 6 columns."""
     rng = np.random.default_rng(4)
     n, ncol = 60, 6
-    sizes = rng.integers(1, 9, n).astype(float)
-    cost = rng.uniform(0, 100, (n, ncol)).ravel()
-    a_eq = np.zeros((n, n * ncol))
-    for i in range(n):
-        a_eq[i, i * ncol : (i + 1) * ncol] = 1.0
-    a_ub = np.zeros((ncol, n * ncol))
-    for j in range(ncol):
-        a_ub[j, j::ncol] = sizes
-    caps = np.full(ncol, sizes.sum() / ncol * 1.3)
+    sizes = rng.integers(1, 9, n)
+    xs = rng.uniform(0, 100, n)
+    cap = int(sizes.sum() / ncol * 1.3)
+    entities = [
+        _Entity(cells=tuple(range(size)), x=float(x), ys=(0.0,) * int(size))
+        for size, x in zip(sizes, xs)
+    ]
+    cols = [SiteColumn("DSP", j, 20.0 * j, np.arange(cap)) for j in range(ncol)]
+    legalizer = CascadeLegalizer(Netlist("eq10"), small_device())
 
-    res = benchmark(
-        solve_ilp,
-        cost,
-        A_ub=a_ub,
-        b_ub=caps,
-        A_eq=a_eq,
-        b_eq=np.ones(n),
-        bounds=[(0.0, 1.0)] * (n * ncol),
-    )
-    assert res.ok
+    _, used_ilp, _ = benchmark(legalizer._inter_column, entities, cols, [cap] * ncol)
+    assert used_ilp

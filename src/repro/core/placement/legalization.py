@@ -6,8 +6,9 @@ occupy consecutive rows of one column; this stage enforces it exactly:
 1. **inter-column ILP** (eq. 10): each entity — a whole cascade macro
    (constraint 10b forces its members into one column, so the macro is one
    decision variable) or a single DSP — is assigned to a column, minimizing
-   horizontal displacement under column capacities. Solved with this repo's
-   branch-and-bound ILP; a greedy fallback covers node-limit blowups.
+   horizontal displacement under column capacities. Solved as one sparse
+   HiGHS MILP via :func:`scipy.optimize.milp`; a greedy fallback covers
+   infeasibility and node-limit blowups.
 2. **intra-column legalization** (eq. 11): per column, entities become
    rigid :class:`~repro.solvers.isotonic.ColumnBlock`s ordered by desired
    vertical position (macros by their mean y, per the paper), and the exact
@@ -21,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csr_matrix
 
 from repro.errors import LegalizationError, SolverConvergenceError, SolverError
 from repro.fpga.device import Device
@@ -28,8 +31,11 @@ from repro.netlist.netlist import Netlist
 from repro.obs import metrics, trace
 from repro.robustness.faults import maybe_fault
 from repro.robustness.guard import SolverGuard
-from repro.solvers.ilp import solve_ilp
 from repro.solvers.isotonic import ColumnBlock, legalize_column_rows
+
+#: HiGHS branch-and-bound node budget for the eq. (10) MILP; past it the
+#: greedy packer takes over.
+ILP_NODE_LIMIT = 20_000
 
 
 @dataclass(frozen=True)
@@ -62,10 +68,9 @@ class LegalizationResult:
 class CascadeLegalizer:
     """Legalizes a set of DSPs (desired coordinates → legal cascade sites)."""
 
-    def __init__(self, netlist: Netlist, device: Device, max_ilp_nodes: int = 20_000) -> None:
+    def __init__(self, netlist: Netlist, device: Device) -> None:
         self.netlist = netlist
         self.device = device
-        self.max_ilp_nodes = max_ilp_nodes
 
     # ------------------------------------------------------------------
     def legalize(
@@ -147,35 +152,32 @@ class CascadeLegalizer:
         def _ilp() -> list[int]:
             nonlocal ilp_nodes
             maybe_fault("legalization.ilp")
+            # variable v = i·ncol + j is t_ij, entity i in column j
+            var = np.arange(n * ncol)
             disp = np.abs(np.array([e.x for e in entities])[:, None] - col_x[None, :])
             cost = (disp * sizes[:, None]).ravel()  # D_col(i, j) (eq. 10)
-            # Σ_j t_ij = 1 per entity
-            a_eq = np.zeros((n, n * ncol))
-            for i in range(n):
-                a_eq[i, i * ncol : (i + 1) * ncol] = 1.0
-            b_eq = np.ones(n)
-            # Σ_i size_i · t_ij ≤ M_j per column
-            a_ub = np.zeros((ncol, n * ncol))
-            for j in range(ncol):
-                a_ub[j, j::ncol] = sizes
-            b_ub = np.array(caps, dtype=np.float64)
-            res = solve_ilp(
+            assign = csr_matrix((np.ones(var.size), (var // ncol, var)), shape=(n, var.size))
+            load = csr_matrix((np.repeat(sizes, ncol), (var % ncol, var)), shape=(ncol, var.size))
+            metrics.inc("ilp.solves")
+            metrics.inc("ilp.variables", var.size)
+            res = milp(
                 cost,
-                A_ub=a_ub,
-                b_ub=b_ub,
-                A_eq=a_eq,
-                b_eq=b_eq,
-                bounds=[(0.0, 1.0)] * (n * ncol),
-                max_nodes=self.max_ilp_nodes,
+                constraints=[
+                    LinearConstraint(assign, 1.0, 1.0),  # Σ_j t_ij = 1 per entity
+                    LinearConstraint(load, -np.inf, caps),  # Σ_i size_i · t_ij ≤ M_j
+                ],
+                bounds=Bounds(0.0, 1.0),
+                integrality=1,
+                options={"node_limit": ILP_NODE_LIMIT, "mip_rel_gap": 0.0},
             )
-            ilp_nodes = res.n_nodes
-            if not res.ok:
+            ilp_nodes = int(res.mip_node_count or 0)
+            metrics.inc("ilp.nodes_explored", ilp_nodes)
+            if res.status != 0:
                 raise SolverConvergenceError(
-                    f"inter-column ILP gave up ({res.status}) after "
-                    f"{res.n_nodes} of {self.max_ilp_nodes} nodes"
+                    f"inter-column ILP gave up after {ilp_nodes} of "
+                    f"{ILP_NODE_LIMIT} nodes: {res.message}"
                 )
-            x = res.x.reshape(n, ncol)
-            return [int(np.argmax(row)) for row in x]
+            return res.x.reshape(n, ncol).argmax(axis=1).tolist()
 
         def _greedy() -> list[int]:
             # biggest entities first, nearest column with room

@@ -1,10 +1,19 @@
 """Cascade legalization tests: ILP inter-column + exact intra-column."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.placement import CascadeLegalizer
+from repro.core.placement.legalization import _Entity
+from repro.errors import LegalizationError
+from repro.fpga.device import SiteColumn
 from repro.netlist import CellType, Netlist
+from repro.robustness import EVERY_CALL, FaultInjector, RunHealth, SolverGuard, inject
 
 
 def _netlist_with_macros(chain_lens, n_singles=0):
@@ -89,7 +98,9 @@ class TestLegalize:
     def test_greedy_fallback_still_legal(self, small_dev):
         nl = _netlist_with_macros([3, 2], n_singles=2)
         desired = {c.index: (150.0, 150.0) for c in nl.cells if c.ctype.is_dsp}
-        res = CascadeLegalizer(nl, small_dev, max_ilp_nodes=0).legalize(desired)
+        fi = FaultInjector().fail_on("legalization.ilp", call=EVERY_CALL)
+        with inject(fi):
+            res = CascadeLegalizer(nl, small_dev).legalize(desired)
         assert not res.used_ilp
         assert len(set(res.site_of.values())) == len(res.site_of)
         sites = small_dev.sites("DSP")
@@ -119,3 +130,66 @@ class TestLegalize:
         }
         res = CascadeLegalizer(nl, small_dev).legalize(desired)
         assert len(set(res.site_of.values())) == sum(chains)
+
+    def test_column_infeasible_raises(self, small_dev):
+        """A macro longer than every column fits nowhere: ILP and greedy both fail."""
+        nl = _netlist_with_macros([small_dev.kind_columns("DSP")[0].n_sites + 1])
+        desired = {c.index: (150.0, 150.0) for c in nl.cells if c.ctype.is_dsp}
+        with pytest.raises(LegalizationError):
+            CascadeLegalizer(nl, small_dev).legalize(desired)
+        health = RunHealth()
+        with pytest.raises(LegalizationError):
+            CascadeLegalizer(nl, small_dev).legalize(desired, SolverGuard("legalization", health))
+        failed = [e.detail.split(":")[0] for e in health.of_stage("legalization")]
+        assert failed == ["ilp", "greedy"]
+        assert all(e.kind == "failure" for e in health.of_stage("legalization"))
+
+    def test_observed_legalize_counts_one_ilp_solve(self, small_dev):
+        nl = _netlist_with_macros([3, 2], n_singles=2)
+        desired = {c.index: (150.0, 150.0) for c in nl.cells if c.ctype.is_dsp}
+        with obs.observe() as ob:
+            res = CascadeLegalizer(nl, small_dev).legalize(desired)
+        counters = ob.metrics.counters
+        assert counters["ilp.solves"] == 1
+        assert counters["ilp.variables"] == 4 * len(small_dev.kind_columns("DSP"))
+        assert counters["ilp.nodes_explored"] == res.ilp_nodes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_inter_column_matches_brute_force(small_dev, data):
+    """Eq. (10) on small instances: capacity-feasible and as cheap as brute force."""
+    n = data.draw(st.integers(2, 6))
+    ncol = data.draw(st.integers(2, 3))
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    xs = data.draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
+    col_xs = data.draw(st.lists(st.integers(0, 40), min_size=ncol, max_size=ncol, unique=True))
+    # capacities from "one entity" up to "everything": the low end is tight
+    caps = data.draw(
+        st.lists(st.integers(max(sizes), sum(sizes)), min_size=ncol, max_size=ncol)
+    )
+    entities = [
+        _Entity(cells=tuple(range(4 * i, 4 * i + size)), x=7.5 * x, ys=(0.0,) * size)
+        for i, (size, x) in enumerate(zip(sizes, xs))
+    ]
+    cols = [
+        SiteColumn("DSP", j, 7.5 * x, np.arange(cap)) for j, (x, cap) in enumerate(zip(col_xs, caps))
+    ]
+
+    def cost(col_of):
+        return sum(e.size * abs(cols[j].x - e.x) for e, j in zip(entities, col_of))
+
+    def fits(col_of):
+        load = np.bincount(col_of, weights=sizes, minlength=ncol)
+        return bool(np.all(load <= caps))
+
+    feasible = [a for a in itertools.product(range(ncol), repeat=n) if fits(a)]
+    legalizer = CascadeLegalizer(Netlist("eq10"), small_dev)
+    if not feasible:
+        with pytest.raises(LegalizationError):
+            legalizer._inter_column(entities, cols, caps)
+        return
+    col_of, used_ilp, _ = legalizer._inter_column(entities, cols, caps)
+    assert used_ilp
+    assert fits(col_of)
+    assert cost(col_of) == pytest.approx(min(map(cost, feasible)), abs=1e-9)
