@@ -52,6 +52,7 @@ from repro.core.placement.legalization import CascadeLegalizer
 from repro.errors import ConfigurationError, NetlistValidationError, ReproError
 from repro.fpga.device import Device
 from repro.ml.train import GraphSample
+from repro.netlist.csr import get_csr
 from repro.netlist.netlist import Netlist
 from repro.netlist.validate import netlist_problems
 from repro.obs import active as obs_active
@@ -467,6 +468,7 @@ class DSPlacer:
         )
         legalizer = CascadeLegalizer(netlist, self.device)
         site_xy = self.device.site_xy("DSP")
+        dsp_cells = get_csr(netlist).dsp_indices.tolist()
         t_dsp = 0.0
         t_other = 0.0
 
@@ -522,7 +524,7 @@ class DSPlacer:
                     }
                     # control DSPs join legalization at their current coordinates
                     # so the shared columns stay overlap-free
-                    for i in netlist.dsp_indices():
+                    for i in dsp_cells:
                         if i not in desired:
                             desired[i] = (
                                 float(placement.xy[i, 0]),

@@ -9,9 +9,8 @@ lets the rest of the design contract around the new DSP skeleton and
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.fpga.device import Device
+from repro.netlist.csr import get_csr
 from repro.netlist.netlist import Netlist
 from repro.obs import metrics
 from repro.placers.analytical import GlobalPlaceConfig, QuadraticGlobalPlacer
@@ -34,7 +33,7 @@ def replace_other_components(
     the quadratic solve; everything else (logic, BRAM, control DSPs) is
     globally re-placed, legalized around them and locally refined.
     """
-    movable = np.array([not c.is_fixed for c in netlist.cells])
+    movable = ~get_csr(netlist).is_fixed
     movable[list(frozen_dsps)] = False
     metrics.inc("incremental.replaces")
     metrics.gauge("incremental.frozen_dsps", len(frozen_dsps))

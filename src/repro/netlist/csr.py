@@ -6,7 +6,10 @@ rebuilt its own Python-dict or networkx graph on every call. ``get_csr``
 builds the compiled-array views **once** per netlist and caches them on the
 netlist object, keyed on the netlist's structural revision counter
 (``Netlist._version``): any ``add_cell`` / ``add_net`` / ``add_macro``
-invalidates the context and the next ``get_csr`` rebuilds it.
+invalidates the context and the next ``get_csr`` rebuilds it. The placers,
+the legalizer and the legality check read their per-cell structure (kind
+codes, fixed mask, DSP indices) from here too, instead of walking
+``netlist.cells`` on every call.
 
 The context caches *structure only* — cell kinds, net topology, adjacency
 patterns. Net ``weight`` values are deliberately **not** cached because the
@@ -22,12 +25,21 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from repro.netlist.cell import CellType
 from repro.netlist.netlist import Netlist
 
 
 #: Site-family order of the per-cell ``site_code`` array.
 SITE_KIND_CODES = ("CLB", "DSP", "BRAM", "FIXED")
-_SITE_CODE = {k: i for i, k in enumerate(SITE_KIND_CODES)}
+
+#: CellType order of the per-cell ``ctype_code`` array.
+CELL_TYPE_CODES = tuple(CellType)
+_CTYPE_CODE = {t: i for i, t in enumerate(CELL_TYPE_CODES)}
+# per-CellType-code lookups for the derived per-cell arrays
+_SITE_CODE_OF = np.array(
+    [SITE_KIND_CODES.index(t.site_kind) for t in CELL_TYPE_CODES], dtype=np.int8
+)
+_IS_STORAGE_OF = np.array([t.is_storage for t in CELL_TYPE_CODES], dtype=bool)
 
 
 def _binary_csr(rows: np.ndarray, cols: np.ndarray, n: int) -> sp.csr_matrix:
@@ -52,6 +64,8 @@ class NetlistCSR:
         dsp_indices: Sorted cell indices of DSP cells.
         is_dsp / is_storage: Per-cell boolean masks.
         is_fixed: Per-cell ``Cell.is_fixed`` mask (has a device-pinned xy).
+        ctype_code: Per-cell ``Cell.ctype`` code, index into
+            :data:`CELL_TYPE_CODES`.
         site_code: Per-cell site-family code, index into
             :data:`SITE_KIND_CODES` (``("CLB", "DSP", "BRAM", "FIXED")``).
         net_driver: Per-net driver cell index.
@@ -76,6 +90,7 @@ class NetlistCSR:
     is_dsp: np.ndarray
     is_storage: np.ndarray
     is_fixed: np.ndarray
+    ctype_code: np.ndarray
     site_code: np.ndarray
     net_driver: np.ndarray
     net_nsinks: np.ndarray
@@ -148,14 +163,11 @@ def build_csr(netlist: Netlist) -> NetlistCSR:
     undirected = (directed + directed.T).tocsr()
     undirected.data[:] = 1.0
 
-    is_dsp = np.fromiter((c.ctype.is_dsp for c in netlist.cells), dtype=bool, count=n)
-    is_storage = np.fromiter(
-        (c.ctype.is_storage for c in netlist.cells), dtype=bool, count=n
+    ctype_code = np.fromiter(
+        (_CTYPE_CODE[c.ctype] for c in netlist.cells), dtype=np.int8, count=n
     )
+    is_dsp = ctype_code == _CTYPE_CODE[CellType.DSP]
     is_fixed = np.fromiter((c.is_fixed for c in netlist.cells), dtype=bool, count=n)
-    site_code = np.fromiter(
-        (_SITE_CODE[c.ctype.site_kind] for c in netlist.cells), dtype=np.int8, count=n
-    )
     return NetlistCSR(
         n=n,
         version=getattr(netlist, "_version", 0),
@@ -165,9 +177,10 @@ def build_csr(netlist: Netlist) -> NetlistCSR:
         outdegree=np.diff(directed.indptr),
         dsp_indices=np.flatnonzero(is_dsp),
         is_dsp=is_dsp,
-        is_storage=is_storage,
+        is_storage=_IS_STORAGE_OF[ctype_code],
         is_fixed=is_fixed,
-        site_code=site_code,
+        ctype_code=ctype_code,
+        site_code=_SITE_CODE_OF[ctype_code],
         net_driver=net_driver,
         net_nsinks=net_nsinks,
         sink_flat=sink_flat,

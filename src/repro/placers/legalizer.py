@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fpga.device import Device
-from repro.netlist.cell import CellType
+from repro.netlist.csr import SITE_KIND_CODES, get_csr
 from repro.obs import metrics, trace
 from repro.placers.placement import Placement
 
@@ -50,9 +50,8 @@ class Legalizer:
     # ------------------------------------------------------------------
     def legalize(self, placement: Placement, movable_mask: np.ndarray | None = None) -> Placement:
         """Legalize all placeable cells in-place; returns the placement."""
-        nl = placement.netlist
         if movable_mask is None:
-            movable_mask = np.array([not c.is_fixed for c in nl.cells])
+            movable_mask = ~get_csr(placement.netlist).is_fixed
         movable_mask = np.asarray(movable_mask, dtype=bool)
         with trace.span("legalize", method=self.method):
             metrics.inc("legalize.passes")
@@ -65,17 +64,9 @@ class Legalizer:
     def legalize_dsps(self, placement: Placement, movable_mask: np.ndarray) -> None:
         dev = self.device
         nl = placement.netlist
-        n_sites = dev.n_sites("DSP")
-        occupied = np.zeros(n_sites, dtype=bool)
-        dsp_cells = [c for c in nl.cells if c.ctype.is_dsp]
-        for c in dsp_cells:
-            if movable_mask[c.index]:
-                placement.site[c.index] = -1
-            elif placement.site[c.index] >= 0:
-                occupied[placement.site[c.index]] = True
-        # everything without a site gets (re)placed, including locked cells
-        # that were never legalized
-        movable = [c for c in dsp_cells if placement.site[c.index] < 0]
+        occupied = np.zeros(dev.n_sites("DSP"), dtype=bool)
+        movable, held = _release(placement, get_csr(nl).dsp_indices, movable_mask)
+        occupied[held] = True
 
         # macros first, longest first (hardest to fit)
         in_macro: set[int] = set()
@@ -108,7 +99,7 @@ class Legalizer:
                         occupied[placement.site[i]] = False
                         placement.site[i] = -1
             self._dense_pack_macros(placement, occupied, todo_macros)
-        singles = [c.index for c in movable if c.index not in in_macro]
+        singles = [i for i in movable.tolist() if i not in in_macro]
         # bottom-up for deterministic packing
         singles.sort(key=lambda i: (placement.xy[i, 1], placement.xy[i, 0]))
         self._assign_singles(placement, "DSP", singles, occupied)
@@ -207,19 +198,12 @@ class Legalizer:
     # ------------------------------------------------------------------
     def legalize_brams(self, placement: Placement, movable_mask: np.ndarray) -> None:
         dev = self.device
-        nl = placement.netlist
+        ctx = get_csr(placement.netlist)
         occupied = np.zeros(dev.n_sites("BRAM"), dtype=bool)
-        todo = []
-        for c in nl.cells:
-            if c.ctype is not CellType.BRAM:
-                continue
-            if movable_mask[c.index]:
-                placement.site[c.index] = -1
-                todo.append(c.index)
-            elif placement.site[c.index] >= 0:
-                occupied[placement.site[c.index]] = True
-            else:
-                todo.append(c.index)
+        bram = np.flatnonzero(ctx.site_code == SITE_KIND_CODES.index("BRAM"))
+        todo_arr, held = _release(placement, bram, movable_mask)
+        occupied[held] = True
+        todo = todo_arr.tolist()
         todo.sort(key=lambda i: (placement.xy[i, 1], placement.xy[i, 0]))
         self._assign_singles(placement, "BRAM", todo, occupied)
 
@@ -289,24 +273,16 @@ class Legalizer:
     # ------------------------------------------------------------------
     def legalize_clb(self, placement: Placement, movable_mask: np.ndarray) -> None:
         dev = self.device
-        nl = placement.netlist
+        ctx = get_csr(placement.netlist)
         cap = dev.clb_capacity
         cols = dev.kind_columns("CLB")
         col_x = np.array([c.x for c in cols])
-        load = np.zeros(dev.n_sites("CLB"), dtype=np.int64)
         col_start = np.cumsum([0] + [c.n_sites for c in cols])
 
-        todo: list[int] = []
-        for c in nl.cells:
-            if c.ctype.site_kind != "CLB" or c.is_fixed:
-                continue
-            if movable_mask[c.index]:
-                placement.site[c.index] = -1
-                todo.append(c.index)
-            elif placement.site[c.index] >= 0:
-                load[placement.site[c.index]] += 1
-            else:
-                todo.append(c.index)
+        clb = np.flatnonzero((ctx.site_code == SITE_KIND_CODES.index("CLB")) & ~ctx.is_fixed)
+        todo_arr, held = _release(placement, clb, movable_mask)
+        load = np.bincount(held, minlength=dev.n_sites("CLB"))
+        todo = todo_arr.tolist()
         if sum(c.n_sites for c in cols) * cap < load.sum() + len(todo):
             raise ValueError("design does not fit the device's CLB capacity")
 
@@ -410,6 +386,21 @@ class Legalizer:
             idx_arr = np.asarray(todo, dtype=np.int64)
             placement.site[idx_arr] = sites
             placement.xy[idx_arr] = self.device.site_xy("CLB")[sites]
+
+
+def _release(
+    placement: Placement, cells: np.ndarray, movable_mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Clear the sites of the movable ``cells``; ``(todo, held)``.
+
+    ``todo`` is every cell of ``cells`` now without a site, ascending: the
+    movable ones plus locked cells that were never legalized. ``held`` is
+    the sites the locked, sited cells keep — they block those sites.
+    """
+    site = placement.site
+    site[cells[movable_mask[cells]]] = -1
+    own = site[cells]
+    return cells[own < 0], own[own >= 0]
 
 
 def _spiral():

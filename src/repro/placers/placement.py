@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fpga.device import Device
-from repro.netlist.cell import CellType
-from repro.netlist.csr import get_csr
+from repro.netlist.csr import SITE_KIND_CODES, get_csr
 from repro.netlist.netlist import Netlist
 
 
@@ -28,7 +27,6 @@ class Placement:
         center = (device.width / 2.0, device.height / 2.0)
         for cell in netlist.cells:
             self.xy[cell.index] = cell.fixed_xy if cell.is_fixed else center
-        self._kind_cache: tuple[int, tuple] | None = None
 
     def copy(self) -> "Placement":
         new = Placement.__new__(Placement)
@@ -36,7 +34,6 @@ class Placement:
         new.device = self.device
         new.xy = self.xy.copy()
         new.site = self.site.copy()
-        new._kind_cache = self._kind_cache
         return new
 
     # ------------------------------------------------------------------
@@ -89,33 +86,20 @@ class Placement:
 
     # ------------------------------------------------------------------
     def _legality_arrays(self) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-        """(fixed_idx, fixed_xy, {kind: placeable cell indices}) — structure
-        only, cached per netlist revision (positions are read fresh)."""
-        version = getattr(self.netlist, "_version", 0)
-        if self._kind_cache is not None and self._kind_cache[0] == version:
-            return self._kind_cache[1]
+        """(fixed_idx, fixed_xy, {kind: placeable cell indices}), derived
+        from the cached :class:`~repro.netlist.csr.NetlistCSR` masks."""
+        ctx = get_csr(self.netlist)
         cells = self.netlist.cells
-        fixed = [c for c in cells if c.is_fixed]
-        fixed_idx = np.fromiter(
-            (c.index for c in fixed), dtype=np.int64, count=len(fixed)
-        )
-        fixed_xy = np.array([c.fixed_xy for c in fixed], dtype=np.float64).reshape(
-            -1, 2
-        )
+        fixed_idx = np.flatnonzero(ctx.is_fixed)
+        fixed_xy = np.array(
+            [cells[i].fixed_xy for i in fixed_idx.tolist()], dtype=np.float64
+        ).reshape(-1, 2)
+        placeable = ~ctx.is_fixed
         kind_idx = {
-            kind: np.fromiter(
-                (
-                    c.index
-                    for c in cells
-                    if not c.is_fixed and c.ctype.site_kind == kind
-                ),
-                dtype=np.int64,
-            )
+            kind: np.flatnonzero(placeable & (ctx.site_code == SITE_KIND_CODES.index(kind)))
             for kind in ("DSP", "BRAM", "CLB")
         }
-        data = (fixed_idx, fixed_xy, kind_idx)
-        self._kind_cache = (version, data)
-        return data
+        return fixed_idx, fixed_xy, kind_idx
 
     def legality_violations(self) -> list[str]:
         """All legality violations (empty list ⇔ the placement is legal).

@@ -59,6 +59,21 @@ def tiny_netlist():
     return nl
 
 
+@pytest.fixture()
+def every_kind_netlist():
+    """Two cells of every CellType, interleaved, plus a DSP and a LUT
+    pinned by ``fixed_xy`` (fixed although their kinds are placeable)."""
+    nl = Netlist("every_kind")
+    for rnd in range(2):
+        for k, ctype in enumerate(CellType):
+            xy = (10.0 * k + rnd, 5.0) if ctype.is_fixed else None
+            nl.add_cell(f"{ctype.value.lower()}{rnd}", ctype, fixed_xy=xy)
+    nl.add_cell("pinned_dsp", CellType.DSP, fixed_xy=(300.0, 40.0))
+    nl.add_cell("pinned_lut", CellType.LUT, fixed_xy=(200.0, 60.0))
+    nl.add_net("n", 0, list(range(1, len(nl.cells))))
+    return nl
+
+
 @pytest.fixture(scope="session")
 def mini_accel(small_dev):
     """A generated mini accelerator that fits the small device."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.netlist import CellType, Netlist, build_csr, get_csr, netlist_to_digraph
+from repro.netlist.csr import CELL_TYPE_CODES, SITE_KIND_CODES
 
 
 @pytest.fixture()
@@ -45,6 +46,18 @@ class TestConstruction:
         assert ctx.dsp_indices.tolist() == [4]
         assert ctx.is_dsp[4] and not ctx.is_dsp[0]
         assert ctx.is_storage[5] and not ctx.is_storage[4]
+
+    def test_per_cell_arrays_match_cell_loop(self, every_kind_netlist):
+        cells = every_kind_netlist.cells
+        ctx = get_csr(every_kind_netlist)
+        assert [CELL_TYPE_CODES[k] for k in ctx.ctype_code] == [c.ctype for c in cells]
+        assert ctx.is_dsp.tolist() == [c.ctype.is_dsp for c in cells]
+        assert ctx.is_storage.tolist() == [c.ctype.is_storage for c in cells]
+        assert ctx.is_fixed.tolist() == [c.is_fixed for c in cells]
+        assert [SITE_KIND_CODES[k] for k in ctx.site_code] == [
+            c.ctype.site_kind for c in cells
+        ]
+        assert ctx.dsp_indices.tolist() == every_kind_netlist.dsp_indices()
 
     def test_edge_arrays_keep_multi_edges(self, nl):
         ctx = get_csr(nl)

@@ -2,9 +2,21 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import obs
+from repro.netlist.csr import get_csr
+from repro.netlist.graph import connectivity_matrix
 from repro.placers import GlobalPlaceConfig, Placement, QuadraticGlobalPlacer
-from repro.placers.analytical import _equalize, _push_out_of_ps
+from repro.placers.analytical import (
+    _equalize,
+    _push_out_of_ps,
+    inverse_diagonal,
+    jacobi_pcg,
+)
 
 
 class TestEqualize:
@@ -98,3 +110,123 @@ class TestGlobalPlacer:
         mov = mini_accel.movable_indices()
         # with a 1.5x virtual fabric some cells land beyond the real device
         assert place.xy[mov, 0].max() > small_dev.width
+
+    def test_caller_mask_left_unchanged(self, mini_accel, small_dev):
+        mask = np.ones(len(mini_accel.cells), dtype=bool)
+        place = QuadraticGlobalPlacer(GlobalPlaceConfig(n_iterations=1)).place(
+            mini_accel, small_dev, movable_mask=mask
+        )
+        assert mask.all()
+        fixed = [c for c in mini_accel.cells if c.is_fixed]
+        assert fixed
+        for c in fixed:
+            assert tuple(place.xy[c.index]) == c.fixed_xy
+
+
+def _observed_place(netlist, device, cfg):
+    with obs.observe() as ob:
+        place = QuadraticGlobalPlacer(cfg).place(netlist, device)
+    return place, ob
+
+
+class TestCGCounters:
+    @pytest.mark.parametrize("net_model", ["clique", "b2b"])
+    def test_iterations_deterministic_and_converged(self, mini_accel, small_dev, net_model):
+        cfg = GlobalPlaceConfig(n_iterations=2, net_model=net_model)
+        _, first = _observed_place(mini_accel, small_dev, cfg)
+        _, second = _observed_place(mini_accel, small_dev, cfg)
+        counters = first.metrics.counters
+        iters = counters["global_place.cg_iterations"]
+        assert iters > 0
+        assert second.metrics.counters["global_place.cg_iterations"] == iters
+        assert counters.get("global_place.cg_unconverged", 0) == 0
+        solves = first.tracer.find("global_place.solve")
+        assert len(solves) == 1 + cfg.n_iterations
+        assert sum(s.attrs["iterations"] for s in solves) == iters
+
+    def test_maxiter_reached_is_counted(self, mini_accel, small_dev):
+        cfg = GlobalPlaceConfig(n_iterations=2, cg_maxiter=1)
+        place, ob = _observed_place(mini_accel, small_dev, cfg)
+        assert ob.metrics.counters["global_place.cg_unconverged"] > 0
+        assert np.isfinite(place.xy).all()
+
+
+class TestJacobiPCG:
+    """scipy's ``cg`` with the same Jacobi preconditioner is the oracle:
+    same iteration count (through its callback), same solution."""
+
+    @staticmethod
+    def _pcg(a, b, x0, rtol, maxiter):
+        return jacobi_pcg(a, b, x0, inverse_diagonal(a), rtol, maxiter)
+
+    @pytest.fixture(scope="class")
+    def grounded(self, mini_accel):
+        """The placer's movable Laplacian block, grounded by fixed cells."""
+        w = connectivity_matrix(mini_accel)
+        mov = np.flatnonzero(~get_csr(mini_accel).is_fixed)
+        lap = sp.diags(np.asarray(w.sum(axis=1)).ravel()) - w
+        return lap[mov][:, mov].tocsr()
+
+    @staticmethod
+    def _scipy(a, b, x0, rtol, maxiter):
+        calls = []
+        m = sp.diags(1.0 / np.maximum(a.diagonal(), 1e-12))
+        x, info = spla.cg(
+            a, b, x0=x0, rtol=rtol, maxiter=maxiter, M=m, callback=calls.append
+        )
+        return x, len(calls), info
+
+    @staticmethod
+    def _assert_close(x, ref):
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.floats(0.0, 5.0),
+        st.sampled_from([1e-8, 1e-5, 1e-3]),
+        st.booleans(),
+    )
+    def test_matches_scipy(self, grounded, seed, alpha, rtol, zero_x0):
+        rng = np.random.default_rng(seed)
+        n = grounded.shape[0]
+        a = grounded + sp.diags(np.full(n, alpha + 1e-9))
+        b = rng.normal(size=n) * 100.0
+        x0 = np.zeros(n) if zero_x0 else rng.uniform(0.0, 500.0, n)
+        x, iters, converged = self._pcg(a, b, x0, rtol, 300)
+        ref, ref_iters, info = self._scipy(a, b, x0, rtol, 300)
+        assert iters == ref_iters
+        assert converged == (info == 0)
+        self._assert_close(x, ref)
+
+    def test_zero_x0_takes_rhs_as_residual(self, grounded):
+        n = grounded.shape[0]
+        a = grounded + sp.diags(np.full(n, 0.5))
+        b = np.random.default_rng(3).normal(size=n)
+        x0 = np.zeros(n)
+        x, iters, converged = self._pcg(a, b, x0, 1e-5, 500)
+        ref, ref_iters, info = self._scipy(a, b, x0, 1e-5, 500)
+        assert converged and info == 0 and iters == ref_iters > 0
+        self._assert_close(x, ref)
+        assert not x0.any()  # the caller's start vector is not written
+
+    def test_zero_rhs_returns_zeros(self, grounded):
+        n = grounded.shape[0]
+        a = grounded + sp.diags(np.full(n, 0.5))
+        x0 = np.full(n, 7.0)
+        x, iters, converged = self._pcg(a, np.zeros(n), x0, 1e-5, 500)
+        ref, ref_iters, info = self._scipy(a, np.zeros(n), x0, 1e-5, 500)
+        assert (iters, converged) == (0, True) and (ref_iters, info) == (0, 0)
+        assert not x.any() and not ref.any()
+
+    def test_maxiter_reached(self, grounded):
+        n = grounded.shape[0]
+        a = grounded + sp.diags(np.full(n, 1e-9))
+        rng = np.random.default_rng(4)
+        b = rng.normal(size=n)
+        x0 = rng.uniform(0.0, 500.0, n)
+        x, iters, converged = self._pcg(a, b, x0, 1e-10, 3)
+        ref, ref_iters, info = self._scipy(a, b, x0, 1e-10, 3)
+        assert (iters, converged) == (3, False)
+        assert ref_iters == 3 and info == 3
+        self._assert_close(x, ref)

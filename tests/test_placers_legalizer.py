@@ -103,3 +103,87 @@ class TestCLBLegalization:
         p = Placement(nl, small_dev)
         with pytest.raises(ValueError, match="CLB"):
             Legalizer(small_dev).legalize(p)
+
+
+class TestLockedCells:
+    """Cells outside ``movable_mask``, sited and unsited, of every kind.
+
+    Both engines share the step that collects them (locked sites block,
+    locked CLB cells load their site, unsited cells join the todo list),
+    so the engine-equivalence suite cannot see a change there.
+    """
+
+    @pytest.fixture()
+    def locked(self, mini_accel, small_dev):
+        nl, dev = mini_accel, small_dev
+        rng = np.random.default_rng(11)
+        p = Placement(nl, dev)
+        mov = nl.movable_indices()
+        p.xy[mov] = rng.uniform([0, 0], [dev.width, dev.height], (len(mov), 2))
+        Legalizer(dev).legalize(p)
+        in_macro = {i for m in nl.macros for i in m.dsps}
+        singles = [i for i in nl.dsp_indices() if i not in in_macro]
+        brams = [c.index for c in nl.cells if c.ctype is CellType.BRAM]
+        clbs = [c.index for c in nl.cells if c.ctype.site_kind == "CLB" and not c.is_fixed]
+        cap = dev.clb_capacity
+        assert len(singles) >= 2 and len(brams) >= 4 and len(clbs) > 3 * cap
+        # one CLB site filled to capacity by locked cells
+        full_site = int(p.site[clbs[0]])
+        for i in clbs[:cap]:
+            p.assign_site(i, full_site)
+        sited = {"DSP": singles[:1], "BRAM": brams[:2], "CLB": clbs[:cap]}
+        unsited = {"DSP": singles[1:2], "BRAM": brams[2:4], "CLB": clbs[cap : cap + 3]}
+        # unsited locked cells and some movable CLB cells all want a
+        # locked cell's site
+        for kind, cells in unsited.items():
+            target = p.xy[sited[kind][0]].copy()
+            for i in cells:
+                p.site[i] = -1
+                p.xy[i] = target
+        crowd = clbs[2 * cap : 3 * cap]
+        p.xy[crowd] = p.xy[clbs[0]]
+        mask = np.array([not c.is_fixed for c in nl.cells])
+        for cells in (*sited.values(), *unsited.values()):
+            mask[cells] = False
+        return p, mask, sited, unsited, full_site
+
+    @pytest.mark.parametrize("method", ["vectorized", "reference"])
+    def test_locked_cells_respected(self, locked, small_dev, mini_accel, method):
+        p, mask, sited, unsited, full_site = locked
+        before = p.copy()
+        Legalizer(small_dev, method=method).legalize(p, movable_mask=mask)
+        assert p.is_legal(), p.legality_violations()[:5]
+        for kind, cells in sited.items():
+            assert np.array_equal(p.site[cells], before.site[cells])
+        for kind in ("DSP", "BRAM"):
+            same_kind = [
+                c.index for c in mini_accel.cells if c.ctype.site_kind == kind
+            ]
+            for i in sited[kind]:
+                holders = [j for j in same_kind if p.site[j] == p.site[i]]
+                assert holders == [i]
+        on_full = [
+            c.index
+            for c in mini_accel.cells
+            if c.ctype.site_kind == "CLB" and not c.is_fixed and p.site[c.index] == full_site
+        ]
+        assert sorted(on_full) == sorted(sited["CLB"])
+        for cells in unsited.values():
+            assert (p.site[cells] >= 0).all()
+        for c in mini_accel.cells:
+            if c.is_fixed:
+                assert tuple(p.xy[c.index]) == c.fixed_xy
+
+    def test_engines_agree_with_locked_cells(self, locked, small_dev):
+        p, mask, *_ = locked
+        q = p.copy()
+        Legalizer(small_dev, method="vectorized").legalize(p, movable_mask=mask)
+        Legalizer(small_dev, method="reference").legalize(q, movable_mask=mask)
+        assert np.array_equal(p.site, q.site)
+        assert np.array_equal(p.xy, q.xy)
+
+    def test_caller_mask_left_unchanged(self, locked, small_dev):
+        p, mask, *_ = locked
+        kept = mask.copy()
+        Legalizer(small_dev).legalize(p, movable_mask=mask)
+        assert np.array_equal(mask, kept)

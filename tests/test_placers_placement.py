@@ -83,6 +83,22 @@ class TestHPWL:
         assert place.xy[0, 0] != c.xy[0, 0]
 
 
+class TestLegalityArrays:
+    def test_match_cell_loop(self, every_kind_netlist, small_dev):
+        cells = every_kind_netlist.cells
+        fixed_idx, fixed_xy, kind_idx = Placement(
+            every_kind_netlist, small_dev
+        )._legality_arrays()
+        fixed = [c for c in cells if c.is_fixed]
+        assert fixed_idx.tolist() == [c.index for c in fixed]
+        assert fixed_xy.tolist() == [list(c.fixed_xy) for c in fixed]
+        assert set(kind_idx) == {"DSP", "BRAM", "CLB"}
+        for kind, idx in kind_idx.items():
+            assert idx.tolist() == [
+                c.index for c in cells if not c.is_fixed and c.ctype.site_kind == kind
+            ]
+
+
 class TestLegality:
     def test_unplaced_cells_reported(self, place):
         v = place.legality_violations()
