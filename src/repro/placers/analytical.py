@@ -4,7 +4,8 @@ The classic analytical-placer loop (Section I's scalable family: RippleFPGA,
 UTPlaceF, AMF-Placer all share this skeleton):
 
 1. minimize quadratic wirelength ``Σ w_ij ((x_i−x_j)² + (y_i−y_j)²)`` with
-   fixed cells as boundary conditions (sparse Jacobi-PCG solves,
+   fixed cells as boundary conditions (register chains eliminated exactly,
+   :class:`ChainElimination`; Jacobi-PCG on the remaining hub core,
    :func:`jacobi_pcg`);
 2. spread overlapping cells by histogram-equalizing the placement
    marginals (x globally, then y within vertical slabs);
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from repro.errors import SolverConvergenceError
 from repro.fpga.device import Device
 from repro.netlist.csr import CELL_TYPE_CODES, get_csr
 from repro.netlist.graph import connectivity_matrix
@@ -36,6 +38,11 @@ from repro.placers.placement import Placement
 CELL_AREA = {"LUT": 1.0, "LUTRAM": 1.5, "FF": 1.0, "CARRY": 1.0, "DSP": 8.0, "BRAM": 12.0}
 #: ``CELL_AREA`` per :data:`~repro.netlist.csr.CELL_TYPE_CODES` entry.
 _AREA_OF = np.array([CELL_AREA.get(t.value, 1.0) for t in CELL_TYPE_CODES])
+#: Weight ε of the regularizer in every solve, ``(A + ε I) x = b + ε x0``:
+#: it keeps the system SPD and holds a cell with no path to a fixed cell at
+#: its start ``x0`` (a floating component at its start centroid), where a
+#: bare ``ε I`` would pull it to the origin.
+SOLVE_EPS = 1e-9
 
 
 def inverse_diagonal(a: sp.csr_matrix) -> np.ndarray:
@@ -50,15 +57,16 @@ def jacobi_pcg(
     inv_diag: np.ndarray,
     rtol: float,
     maxiter: int,
+    atol: float = 0.0,
 ) -> tuple[np.ndarray, int, bool]:
     """CG for the SPD system ``a x = b``, preconditioned by ``inv_diag``.
 
-    Runs ``scipy.sparse.linalg.cg(a, b, x0, rtol=rtol, maxiter=maxiter,
-    M=diags(inv_diag))``'s recurrences operation for operation: the stop
-    test ``‖r‖ < rtol·‖b‖`` before each iteration, the ``r = b`` shortcut
-    for an all-zero ``x0``, zeros for ``b == 0``. The iterates are
-    therefore scipy's bit for bit; only its ``LinearOperator``/
-    ``dia_matrix`` dispatch around every product is gone.
+    Runs ``scipy.sparse.linalg.cg(a, b, x0, rtol=rtol, atol=atol,
+    maxiter=maxiter, M=diags(inv_diag))``'s recurrences operation for
+    operation: the stop test ``‖r‖ < max(atol, rtol·‖b‖)`` before each
+    iteration, the ``r = b`` shortcut for an all-zero ``x0``, zeros for
+    ``b == 0``. The iterates are therefore scipy's bit for bit; only its
+    ``LinearOperator``/``dia_matrix`` dispatch around every product is gone.
 
     Returns:
         ``(x, iterations, converged)``; ``converged`` is False when
@@ -67,7 +75,7 @@ def jacobi_pcg(
     bnrm2 = np.linalg.norm(b)
     if bnrm2 == 0:
         return np.zeros_like(b), 0, True
-    atol = rtol * bnrm2
+    atol = max(atol, rtol * bnrm2)
     x = np.array(x0, dtype=np.float64)
     r = b - a @ x if x.any() else b.copy()
     rho_prev, p = None, None
@@ -87,6 +95,219 @@ def jacobi_pcg(
         r -= alpha * q
         rho_prev = rho
     return x, maxiter, False
+
+
+class ChainElimination:
+    """Exact elimination of an SPD system's chain cells; CG on the hub core.
+
+    A *chain cell* has at most two off-diagonal nonzeros in its row
+    (explicit zeros are ignored); every other cell is a *hub*. Induced on
+    the chain cells, the graph is a union of paths and pure cycles. The
+    lowest-index cell of each pure cycle joins the hubs, so the chain block
+    ``T`` is tridiagonal once each path is numbered contiguously. A path
+    touches the hubs only at its two end cells, through at most two *ports*
+    (chain-end to hub edges), so the Schur complement
+    ``S = A_HH − A_HC T⁻¹ A_CH`` needs just the corner entries of each
+    path's ``T⁻¹`` and adds at most one fill entry per path.
+
+    The structure depends only on the sparsity pattern, and a diagonal
+    shift keeps it: one instance solves every system ``a + shift·I``. The
+    placer builds it once per ``place`` call; its solves differ only in the
+    anchor weight.
+    """
+
+    def __init__(self, a: sp.csr_matrix) -> None:
+        from scipy.sparse import csgraph
+
+        def _ptr(counts: np.ndarray) -> np.ndarray:
+            return np.concatenate([[0], np.cumsum(counts)])
+
+        m = a.shape[0]
+        rows = np.repeat(np.arange(m), np.diff(a.indptr))
+        cols = a.indices
+        on_diag = rows == cols
+        off = ~on_diag & (a.data != 0)
+        chain = np.bincount(rows[off], minlength=m) <= 2
+        # a pure cycle has as many edges as cells; its lowest-index cell
+        # joins the hubs, which leaves a path with both ends on that hub
+        links = off & chain[rows] & chain[cols]
+        link_deg = np.bincount(rows[links], minlength=m)
+        n_comp, comp = csgraph.connected_components(
+            sp.csr_matrix((np.ones(links.sum()), cols[links], _ptr(link_deg)), (m, m)),
+            directed=False,
+        )
+        cells = np.bincount(comp[chain], minlength=n_comp)
+        edges = np.bincount(comp, weights=link_deg, minlength=n_comp) // 2
+        _, lowest = np.unique(comp, return_index=True)
+        chain[lowest[(edges == cells) & (cells > 0)]] = False
+        links &= chain[rows] & chain[cols]
+        link_deg = np.bincount(rows[links], minlength=m)
+
+        # number each path contiguously: a depth-first order entering every
+        # path at its lowest-index end from a spine of virtual nodes m, m+1,
+        # ... (one virtual root linked to every path would make scipy rescan
+        # the root's edges after each path, quadratic in the path count)
+        ends = np.flatnonzero(chain & (link_deg <= 1))
+        _, first_end = np.unique(comp[ends], return_index=True)
+        starts = ends[first_end]
+        k = starts.size
+        graph = sp.csr_matrix(
+            (
+                np.ones(links.sum() + 2 * k),
+                np.concatenate(
+                    [cols[links], np.column_stack([starts, m + 1 + np.arange(k)]).ravel()]
+                ),
+                _ptr(np.concatenate([link_deg, np.full(k, 2), [0]])),
+            ),
+            (m + k + 1, m + k + 1),
+        )
+        order, pred = csgraph.depth_first_order(graph, m, return_predecessors=True)
+        order = order[order < m]
+        n_chain = order.size
+        pos = np.full(m, -1)
+        pos[order] = np.arange(n_chain)
+        head = pred[order] >= m
+        self.order = order
+        self.n_chains = int(head.sum())
+        chain_of = np.cumsum(head) - 1
+        # per chain cell, its path's slot for the first-cell port; + 1 for
+        # the last-cell port
+        self._slot_first = 2 * chain_of
+
+        # the tridiagonal T: the chain cells' diagonal, and each path's
+        # (cell, next cell) entries, zero between paths (LAPACK's wrapper
+        # wants at least one off-diagonal entry)
+        self._t_diag = a.diagonal()[order]
+        self._t_off = np.zeros(max(n_chain - 1, 1))
+        step = links & (pos[cols] == pos[rows] + 1)
+        self._t_off[pos[rows[step]]] = a.data[step]
+        # indicators of each path's first and last cell
+        self._ends = np.array([head, np.roll(head, -1)], dtype=np.float64)
+
+        hubs = np.flatnonzero(~chain)
+        hub_of = np.full(m, -1)
+        hub_of[hubs] = np.arange(hubs.size)
+        self.hubs = hubs
+        # ports: (chain cell, hub) entries, on a path's first or last cell
+        port = off & chain[rows] & ~chain[cols]
+        self._port_a = a.data[port]
+        self._port_pos = pos[rows[port]]
+        self._port_hub = hub_of[cols[port]]
+        port_chain = chain_of[self._port_pos]
+        # which indicator column holds T⁻¹ of the port's cell
+        port_side = (~head[self._port_pos]).astype(np.intp)
+        self._port_slot = 2 * port_chain + port_side
+        # Schur fill: each ordered pair (p, q) of one path's ports adds
+        # −a_p·a_q·T⁻¹[cell_p, cell_q] at (hub_p, hub_q)
+        by_path = np.argsort(port_chain, kind="stable")
+        twin = port_chain[by_path[1:]] == port_chain[by_path[:-1]]
+        lo, hi = by_path[:-1][twin], by_path[1:][twin]
+        p = np.concatenate([by_path, lo, hi])
+        q = np.concatenate([by_path, hi, lo])
+        self._fill_weight = -self._port_a[p] * self._port_a[q]
+        self._fill_at = (self._port_pos[p], port_side[q])
+
+        # the core's fixed CSR pattern: the hub block plus the Schur fill
+        block = (on_diag | off) & ~chain[rows] & ~chain[cols]
+        self._block_data = a.data[block]
+        self._block_diag = on_diag[block]
+        n_hub = max(hubs.size, 1)
+        keys = np.concatenate(
+            [
+                hub_of[rows[block]] * n_hub + hub_of[cols[block]],
+                self._port_hub[p] * n_hub + self._port_hub[q],
+            ]
+        )
+        uniq, self._core_slot = np.unique(keys, return_inverse=True)
+        self._core_indices = uniq % n_hub
+        self._core_indptr = _ptr(np.bincount(uniq // n_hub, minlength=hubs.size))
+
+    def solve(
+        self,
+        b: np.ndarray,
+        x0: np.ndarray,
+        rtol: float,
+        maxiter: int,
+        shift: float = 0.0,
+    ) -> tuple[np.ndarray, int, int]:
+        """Solve ``(a + shift·I) x = b`` column by column.
+
+        One ``dpttrf`` factors every path's tridiagonal block, one
+        ``dpttrs`` solves for the end indicators and all of ``b`` at once,
+        and Jacobi-PCG solves the Schur complement on the hub core, one
+        preconditioner for all columns. ``b`` and ``x0`` are ``(cells, k)``.
+        Each column meets ``‖b − (a + shift·I) x‖ ≤ rtol·‖b‖`` on the full
+        system: the chains are solved exactly, so the full residual is the
+        core's, and the core CG (started from ``x0``'s hub rows) stops at
+        that absolute tolerance.
+
+        Returns:
+            ``(x, iterations, unconverged)``: CG iterations summed over the
+            columns, and how many columns ran out of ``maxiter``.
+
+        Raises:
+            SolverConvergenceError: a chain block is not positive definite.
+        """
+        from scipy.linalg import lapack
+
+        n_chain = self.order.size
+        # columns: T⁻¹ of the first-cell and last-cell indicators, then T⁻¹ b
+        rhs = np.empty((2 + b.shape[1], n_chain))
+        rhs[:2] = self._ends
+        rhs[2:] = b[self.order].T
+        sol = rhs.T
+        if n_chain:
+            d, e, info = lapack.dpttrf(self._t_diag + shift, self._t_off)
+            if info != 0:
+                raise SolverConvergenceError(
+                    f"chain block not positive definite (dpttrf info {info})"
+                )
+            sol, _ = lapack.dpttrs(d, e, sol, overwrite_b=True)
+        weights = np.concatenate(
+            [self._block_data + shift * self._block_diag, self._fill_weight * sol[self._fill_at]]
+        )
+        n_hub = self.hubs.size
+        s = sp.csr_matrix(
+            (
+                np.bincount(self._core_slot, weights=weights, minlength=self._core_indices.size),
+                self._core_indices,
+                self._core_indptr,
+            ),
+            shape=(n_hub, n_hub),
+        )
+        inv_diag = inverse_diagonal(s)
+        x = np.empty(b.shape)
+        iterations = unconverged = 0
+        for j in range(b.shape[1]):
+            b_core = b[self.hubs, j] - np.bincount(
+                self._port_hub,
+                weights=self._port_a * sol[self._port_pos, 2 + j],
+                minlength=n_hub,
+            )
+            x_hub, iters, converged = jacobi_pcg(
+                s,
+                b_core,
+                x0[self.hubs, j],
+                inv_diag,
+                0.0,
+                maxiter,
+                atol=rtol * np.linalg.norm(b[:, j]),
+            )
+            iterations += iters
+            unconverged += not converged
+            # chain cells: T⁻¹ b plus w·x_hub times the indicator columns
+            coef = np.bincount(
+                self._port_slot,
+                weights=-self._port_a * x_hub[self._port_hub],
+                minlength=2 * self.n_chains,
+            )
+            x[self.order, j] = (
+                sol[:, 2 + j]
+                + coef[self._slot_first] * sol[:, 0]
+                + coef[self._slot_first + 1] * sol[:, 1]
+            )
+            x[self.hubs, j] = x_hub
+        return x, iterations, unconverged
 
 
 @dataclass(frozen=True)
@@ -154,9 +375,9 @@ class QuadraticGlobalPlacer:
             A new :class:`Placement` with updated coordinates for movable
             cells (sites are *not* assigned — run a legalizer next).
         """
-        with trace.span("global_place", n_iterations=self.config.n_iterations):
+        with trace.span("global_place", n_iterations=self.config.n_iterations) as span:
             metrics.inc("global_place.solves")
-            return self._place_impl(netlist, device, placement, movable_mask)
+            return self._place_impl(netlist, device, placement, movable_mask, span)
 
     def _place_impl(
         self,
@@ -164,6 +385,7 @@ class QuadraticGlobalPlacer:
         device: Device,
         placement: Placement | None,
         movable_mask: np.ndarray | None,
+        place_span: trace.Span,
     ) -> Placement:
         cfg = self.config
         n = len(netlist.cells)
@@ -190,34 +412,26 @@ class QuadraticGlobalPlacer:
         rng = np.random.default_rng(cfg.seed)
         # tiny jitter breaks exact ties so the spreading has gradients to use
         xy_f = place.xy[fix]
-        bx = w_mf @ xy_f[:, 0]
-        by = w_mf @ xy_f[:, 1]
+        start = place.xy[mov]
+        rhs_fixed = w_mf @ xy_f + SOLVE_EPS * start
 
-        def _cg(
-            a: sp.csr_matrix, rhs: np.ndarray, x0: np.ndarray, inv_diag: np.ndarray
-        ) -> tuple[np.ndarray, int]:
-            sol, iters, converged = jacobi_pcg(
-                a, rhs, x0, inv_diag, cfg.cg_rtol, cfg.cg_maxiter
-            )
+        def _count(iters: int, unconverged: int) -> None:
             metrics.inc("global_place.cg_iterations", iters)
-            if not converged:
-                metrics.inc("global_place.cg_unconverged")
-            return sol, iters
+            if unconverged:
+                metrics.inc("global_place.cg_unconverged", unconverged)
+
+        # one chain structure for every clique solve of this call: their
+        # systems differ only in the anchor weight on the diagonal
+        elim = ChainElimination(lap_mm + sp.diags(np.full(mov.size, SOLVE_EPS)))
+        place_span.set(cells=int(mov.size), core_cells=int(elim.hubs.size))
 
         def _solve(alpha: float, target: np.ndarray | None) -> tuple[np.ndarray, int]:
-            a = lap_mm + sp.diags(np.full(mov.size, alpha + 1e-9))
-            rhs_x = bx + (alpha * target[:, 0] if target is not None else 0.0)
-            rhs_y = by + (alpha * target[:, 1] if target is not None else 0.0)
-            # one preconditioner for both axes. Allocating it and both start
-            # vectors before either solve keeps the heap compact: allocated
-            # between the solves, they leave holes that lift the flow's peak
-            # RSS (reached later, in the IDDFS path search) by about 2%
-            inv_diag = inverse_diagonal(a)
-            x0 = place.xy[mov, 0]
-            y0 = place.xy[mov, 1]
-            sol_x, it_x = _cg(a, rhs_x, x0, inv_diag)
-            sol_y, it_y = _cg(a, rhs_y, y0, inv_diag)
-            return np.column_stack([sol_x, sol_y]), it_x + it_y
+            rhs = rhs_fixed if target is None else rhs_fixed + alpha * target
+            sol, iters, unconverged = elim.solve(
+                rhs, start, cfg.cg_rtol, cfg.cg_maxiter, shift=alpha
+            )
+            _count(iters, unconverged)
+            return sol, iters
 
         use_b2b = cfg.net_model == "b2b"
         if use_b2b:
@@ -249,10 +463,18 @@ class QuadraticGlobalPlacer:
                 deg = np.asarray(adj.sum(axis=1)).ravel()
                 lap_ax = sp.diags(deg) - adj
                 a = lap_ax[mov][:, mov].tocsr() + sp.diags(
-                    np.full(mov.size, alpha + 1e-9)
+                    np.full(mov.size, alpha + SOLVE_EPS)
                 )
-                rhs = adj[mov][:, fix].tocsr() @ xy_f[:, axis] + alpha * target[:, axis]
-                sol, it = _cg(a, rhs, xy_cur[mov, axis], inverse_diagonal(a))
+                x0 = xy_cur[mov, axis]
+                rhs = (
+                    adj[mov][:, fix].tocsr() @ xy_f[:, axis]
+                    + alpha * target[:, axis]
+                    + SOLVE_EPS * x0
+                )
+                sol, it, converged = jacobi_pcg(
+                    a, rhs, x0, inverse_diagonal(a), cfg.cg_rtol, cfg.cg_maxiter
+                )
+                _count(it, int(not converged))
                 sols.append(sol)
                 iters += it
             return np.column_stack(sols), iters

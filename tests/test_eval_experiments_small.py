@@ -6,10 +6,12 @@ identification so the whole harness stays covered by `pytest tests/`.
 """
 
 import dataclasses
+import time
 
 import pytest
 
-from repro.eval import ExperimentSettings
+from repro.core.extraction.identification import DatapathIdentifier
+from repro.eval import ExperimentSettings, experiments
 from repro.eval.experiments import run_fig8, run_fig9, run_suite_tool, run_table2
 
 
@@ -31,6 +33,19 @@ class TestRunSuiteTool:
         assert seconds > 0
         if tool == "dsplacer":
             assert "dsp_placement" in phases
+
+    def test_runtime_excludes_identifier_construction(self, tiny_settings, monkeypatch):
+        """Training the GCN identifier on first use is not placement time."""
+        delay = 0.5
+
+        def slow_identifier(settings, suite):
+            time.sleep(delay)
+            return DatapathIdentifier(method="oracle", seed=settings.seed)
+
+        monkeypatch.setattr(experiments, "_identifier_for", slow_identifier)
+        t0 = time.perf_counter()
+        _, seconds, _ = run_suite_tool(tiny_settings, "ismartdnn", "dsplacer")
+        assert time.perf_counter() - t0 - seconds >= delay
 
     def test_unknown_tool(self, tiny_settings):
         with pytest.raises(ValueError):

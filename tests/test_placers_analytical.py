@@ -4,14 +4,20 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.errors import SolverConvergenceError
+from repro.netlist import CellType
 from repro.netlist.csr import get_csr
 from repro.netlist.graph import connectivity_matrix
 from repro.placers import GlobalPlaceConfig, Placement, QuadraticGlobalPlacer
+from repro.placers import analytical
 from repro.placers.analytical import (
+    SOLVE_EPS,
+    ChainElimination,
     _equalize,
     _push_out_of_ps,
     inverse_diagonal,
@@ -144,6 +150,12 @@ class TestCGCounters:
         assert len(solves) == 1 + cfg.n_iterations
         assert sum(s.attrs["iterations"] for s in solves) == iters
 
+    def test_place_span_reports_core_size(self, mini_accel, small_dev):
+        _, ob = _observed_place(mini_accel, small_dev, GlobalPlaceConfig(n_iterations=1))
+        (span,) = ob.tracer.find("global_place")
+        assert span.attrs["cells"] == (~get_csr(mini_accel).is_fixed).sum()
+        assert 0 < span.attrs["core_cells"] < span.attrs["cells"]
+
     def test_maxiter_reached_is_counted(self, mini_accel, small_dev):
         cfg = GlobalPlaceConfig(n_iterations=2, cg_maxiter=1)
         place, ob = _observed_place(mini_accel, small_dev, cfg)
@@ -199,6 +211,29 @@ class TestJacobiPCG:
         assert converged == (info == 0)
         self._assert_close(x, ref)
 
+    @pytest.mark.parametrize("atol_scale", [1e-8, 1e-3, 1.0])
+    def test_atol_matches_scipy(self, grounded, atol_scale):
+        n = grounded.shape[0]
+        a = grounded + sp.diags(np.full(n, 0.1))
+        rng = np.random.default_rng(5)
+        b = rng.normal(size=n) * 100.0
+        x0 = rng.uniform(0.0, 500.0, n)
+        atol = atol_scale * np.linalg.norm(b)
+        x, iters, converged = jacobi_pcg(a, b, x0, inverse_diagonal(a), 1e-6, 300, atol=atol)
+        calls = []
+        ref, info = spla.cg(
+            a,
+            b,
+            x0=x0,
+            rtol=1e-6,
+            atol=atol,
+            maxiter=300,
+            M=sp.diags(inverse_diagonal(a)),
+            callback=calls.append,
+        )
+        assert (iters, converged) == (len(calls), info == 0)
+        self._assert_close(x, ref)
+
     def test_zero_x0_takes_rhs_as_residual(self, grounded):
         n = grounded.shape[0]
         a = grounded + sp.diags(np.full(n, 0.5))
@@ -230,3 +265,270 @@ class TestJacobiPCG:
         assert (iters, converged) == (3, False)
         assert ref_iters == 3 and info == 3
         self._assert_close(x, ref)
+
+
+# ----------------------------------------------------------------------
+# chain elimination: scipy's spsolve is the oracle
+# ----------------------------------------------------------------------
+#: Building blocks of a drawn system (see :func:`_draw_system`).
+FEATURES = (
+    "long_chain",  # a path between two distinct hubs
+    "dangling",  # a path hanging off one hub
+    "loop",  # a path with both ends on the same hub
+    "parallel",  # several paths plus a direct edge between one hub pair
+    "bridge",  # a single cell between two hubs
+    "cycle",  # a pure cycle: no hub
+    "lone",  # a cell with no neighbours
+    "zero",  # an explicit zero between two cells
+)
+
+
+def _draw_system(seed: int, n_hubs: int, features) -> sp.csr_matrix:
+    """A grounded weighted Laplacian built from hubs and ``features``.
+
+    Hubs are pairwise linked while there are at most four, and each keeps at
+    least three hub neighbours beyond that. Every connected component gets a
+    grounded cell (a diagonal-only link to a fixed cell), so the matrix plus
+    any ``alpha·I`` with ``alpha ≥ 0`` is SPD.
+    """
+    rng = np.random.default_rng(seed)
+    edges: list[tuple[int, int]] = []
+    zeros: list[tuple[int, int]] = []
+    n = n_hubs
+
+    def cells(k: int) -> list[int]:
+        nonlocal n
+        n += k
+        return list(range(n - k, n))
+
+    def path(length: int, ends: tuple) -> None:
+        ids = cells(length)
+        edges.extend(zip(ids[:-1], ids[1:]))
+        for cell, hub in zip((ids[0], ids[-1]), ends):
+            if hub is not None:
+                edges.append((cell, hub))
+
+    def hub() -> int | None:
+        return int(rng.integers(n_hubs)) if n_hubs else None
+
+    def two_hubs() -> tuple:
+        if n_hubs < 2:
+            return hub(), hub()
+        h1, h2 = rng.choice(n_hubs, 2, replace=False)
+        return int(h1), int(h2)
+
+    for i in range(n_hubs):
+        for j in range(i + 1, n_hubs):
+            # a circulant ring (i ± 1, i ± 2) plus random chords
+            if n_hubs <= 4 or min(j - i, n_hubs + i - j) <= 2 or rng.random() < 0.3:
+                edges.append((i, j))
+    for f in features:
+        if f == "long_chain":
+            path(int(rng.integers(2, 12)), two_hubs())
+        elif f == "dangling":
+            path(int(rng.integers(1, 8)), (hub(), None))
+        elif f == "loop":
+            h = hub()
+            path(int(rng.integers(2, 8)), (h, h))
+        elif f == "parallel":
+            h1, h2 = two_hubs()
+            for _ in range(int(rng.integers(2, 4))):
+                path(int(rng.integers(1, 6)), (h1, h2))
+            if h1 is not None and h1 != h2:
+                edges.append((h1, h2))
+        elif f == "bridge":
+            path(1, two_hubs())
+        elif f == "cycle":
+            ids = cells(int(rng.integers(3, 9)))
+            edges.extend(zip(ids, ids[1:] + ids[:1]))
+        elif f == "lone":
+            cells(1)
+        elif f == "zero" and n >= 2:
+            i, j = rng.choice(n, 2, replace=False)
+            zeros.append((int(i), int(j)))
+    n = max(n, 1)
+    i, j = np.array(sorted({(min(e), max(e)) for e in edges}), dtype=np.int64).reshape(-1, 2).T
+    w = rng.uniform(0.1, 3.0, i.size)
+    adj = sp.csr_matrix((np.r_[w, w], (np.r_[i, j], np.r_[j, i])), shape=(n, n))
+    ground = np.where(rng.random(n) < 0.2, rng.uniform(0.1, 2.0, n), 0.0)
+    n_comp, comp = csgraph.connected_components(adj, directed=False)
+    _, first = np.unique(comp, return_index=True)
+    ungrounded = np.bincount(comp, weights=ground, minlength=n_comp) == 0
+    ground[first[ungrounded]] = rng.uniform(0.1, 2.0, ungrounded.sum())
+    zi, zj = np.array(zeros, dtype=np.int64).reshape(-1, 2).T
+    diag = np.arange(n)
+    # COO → CSR sums duplicates but keeps stored zeros
+    return sp.csr_matrix(
+        (
+            np.r_[-w, -w, np.asarray(adj.sum(axis=1)).ravel() + ground, np.zeros(2 * zi.size)],
+            (np.r_[i, j, diag, zi, zj], np.r_[j, i, diag, zj, zi]),
+        ),
+        shape=(n, n),
+    )
+
+
+def _spsolve(a, shift, b):
+    lhs = (a + sp.diags(np.full(a.shape[0], shift))).tocsc()
+    return np.column_stack([spla.spsolve(lhs, b[:, j]) for j in range(b.shape[1])])
+
+
+def _full_residuals(a, shift, b, x):
+    lhs = a + sp.diags(np.full(a.shape[0], shift))
+    return [np.linalg.norm(b[:, j] - lhs @ x[:, j]) for j in range(b.shape[1])]
+
+
+#: Named systems every run covers, beside the drawn ones.
+SCENARIOS = {
+    "one_path_no_core": (0, ["dangling"]),
+    "no_chains": (6, []),
+    "every_feature": (5, list(FEATURES)),
+    "cycle_and_lone": (0, ["cycle", "lone", "cycle"]),
+    "parallel_on_two_hubs": (2, ["parallel", "bridge", "loop"]),
+}
+
+
+class TestChainElimination:
+    """Exact chain elimination + core CG against scipy's ``spsolve``."""
+
+    @staticmethod
+    def _check(a, alpha, seed):
+        rng = np.random.default_rng(seed)
+        n = a.shape[0]
+        b = rng.normal(scale=100.0, size=(n, 2))
+        x0 = rng.uniform(0.0, 500.0, (n, 2))
+        elim = ChainElimination(a)
+        assert np.array_equal(np.sort(np.r_[elim.order, elim.hubs]), np.arange(n))
+        ref = _spsolve(a, alpha, b)
+        x, _, unconverged = elim.solve(b, x0, 1e-12, 10 * n + 100, shift=alpha)
+        assert unconverged == 0
+        for j in range(2):
+            assert np.linalg.norm(x[:, j] - ref[:, j]) <= 1e-8 * np.linalg.norm(ref[:, j])
+        # the default tolerance holds on the full system, per axis
+        rtol = GlobalPlaceConfig().cg_rtol
+        x, _, _ = elim.solve(b, x0, rtol, 10 * n + 100, shift=alpha)
+        for j, res in enumerate(_full_residuals(a, alpha, b, x)):
+            assert res <= rtol * np.linalg.norm(b[:, j])
+        return elim
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(0, 7),
+        st.lists(st.sampled_from(FEATURES), max_size=10),
+        st.sampled_from([0.0, 1e-3, 0.5, 4.0]),
+    )
+    def test_matches_spsolve(self, seed, n_hubs, features, alpha):
+        self._check(_draw_system(seed, n_hubs, features), alpha, seed)
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_scenarios(self, name):
+        n_hubs, features = SCENARIOS[name]
+        for seed in range(5):
+            a = _draw_system(seed, n_hubs, features)
+            elim = self._check(a, 0.0, seed)
+            if name == "one_path_no_core":
+                assert elim.hubs.size == 0
+            if name == "no_chains":
+                assert elim.order.size == 0
+            if name == "cycle_and_lone":
+                # one cell of each pure cycle joins the core
+                assert elim.hubs.size == 2
+
+    def test_explicit_zeros_do_not_count_as_neighbours(self):
+        # a 3-cell path whose middle cell has a stored zero to a far cell
+        a = sp.csr_matrix(
+            (
+                [2.0, -1.0, -1.0, 2.0, -1.0, 0.0, -1.0, 2.0, 0.0, 1.0],
+                ([0, 0, 1, 1, 1, 1, 2, 2, 3, 3], [0, 1, 0, 1, 2, 3, 1, 2, 1, 3]),
+            ),
+            shape=(4, 4),
+        )
+        assert ChainElimination(a).hubs.size == 0
+
+    def test_chain_block_not_positive_definite_raises(self):
+        a = sp.csr_matrix(np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        with pytest.raises(SolverConvergenceError):
+            ChainElimination(a).solve(np.ones((3, 1)), np.zeros((3, 1)), 1e-5, 10)
+
+
+class TestRegularizer:
+    """``(L + εI) x = b + ε x0``: cells with no path to a fixed cell stay put."""
+
+    @staticmethod
+    def _system():
+        # cell 0 lone; cells 1-3 a floating chain; cells 4-7 a chain whose
+        # cell 4 is tied to a fixed cell at x = 100
+        w = {(1, 2): 1.0, (2, 3): 1.0, (4, 5): 1.0, (5, 6): 1.0, (6, 7): 1.0}
+        i, j = np.array(list(w)).T
+        v = np.array(list(w.values()))
+        adj = sp.csr_matrix((np.r_[v, v], (np.r_[i, j], np.r_[j, i])), shape=(8, 8))
+        tie = np.zeros(8)
+        tie[4] = 2.0
+        lap = sp.diags(np.asarray(adj.sum(axis=1)).ravel() + tie) - adj
+        a = (lap + sp.diags(np.full(8, SOLVE_EPS))).tocsr()
+        x0 = np.array([[420.0], [400.0], [407.5], [430.0], [300.0], [310.0], [320.0], [330.0]])
+        b = tie[:, None] * 100.0 + SOLVE_EPS * x0
+        return a, b, x0
+
+    def test_lone_cell_and_floating_chain_stay(self):
+        a, b, x0 = self._system()
+        x, _, _ = ChainElimination(a).solve(b, x0, 1e-12, 100)
+        assert abs(x[0, 0] - x0[0, 0]) <= 1e-6
+        # the floating block has condition ~1/ε, so double precision leaves
+        # about |x|·u/ε ≈ 4e-5 µm here (spsolve reads the same)
+        assert np.abs(x[1:4, 0] - x0[1:4, 0].mean()).max() <= 1e-4
+        ref = spla.spsolve(a.tocsc(), b[:, 0])
+        assert np.abs(ref[1:4] - x0[1:4, 0].mean()).max() <= 1e-4
+
+    def test_grounded_chain_matches_spsolve(self):
+        a, b, x0 = self._system()
+        x, _, _ = ChainElimination(a).solve(b, x0, 1e-12, 100)
+        ref = spla.spsolve(a.tocsc(), b[:, 0])
+        assert np.allclose(x[4:, 0], ref[4:], rtol=1e-10, atol=0)
+        assert np.allclose(x[4:, 0], 100.0, atol=1e-5)
+
+    def test_placer_keeps_unconnected_cell_at_start(self, tiny_netlist, small_dev, monkeypatch):
+        lone = tiny_netlist.add_cell("lone", CellType.LUT)
+        solved = []
+        solve = ChainElimination.solve
+
+        def spy_solve(self, b, x0, rtol, maxiter, shift=0.0):
+            out = solve(self, b, x0, rtol, maxiter, shift=shift)
+            solved.append((x0.copy(), out[0].copy()))  # the placer jitters x in place
+            return out
+
+        monkeypatch.setattr(analytical.ChainElimination, "solve", spy_solve)
+        QuadraticGlobalPlacer(GlobalPlaceConfig(n_iterations=0)).place(tiny_netlist, small_dev)
+        row = np.searchsorted(np.flatnonzero(~get_csr(tiny_netlist).is_fixed), lone)
+        [(x0, x)] = solved
+        assert np.abs(x[row] - x0[row]).max() <= 1e-6
+
+    def test_jacobi_pcg_keeps_lone_cell(self):
+        a, b, x0 = self._system()
+        x, _, _ = jacobi_pcg(a, b[:, 0], x0[:, 0], inverse_diagonal(a), 1e-12, 100)
+        assert abs(x[0] - x0[0, 0]) <= 1e-6
+
+
+class TestSolveContract:
+    def test_every_clique_solve_meets_rtol_on_full_system(self, mini_accel, small_dev, monkeypatch):
+        """Each clique solve: ‖b − A x‖ ≤ cg_rtol·‖b‖ per axis on the full system."""
+        systems = {}
+        checked = []
+        init, solve = ChainElimination.__init__, ChainElimination.solve
+
+        def spy_init(self, a):
+            systems[id(self)] = a
+            init(self, a)
+
+        def spy_solve(self, b, x0, rtol, maxiter, shift=0.0):
+            out = solve(self, b, x0, rtol, maxiter, shift=shift)
+            for j, res in enumerate(_full_residuals(systems[id(self)], shift, b, out[0])):
+                assert res <= rtol * np.linalg.norm(b[:, j])
+            checked.append(shift)
+            return out
+
+        monkeypatch.setattr(analytical.ChainElimination, "__init__", spy_init)
+        monkeypatch.setattr(analytical.ChainElimination, "solve", spy_solve)
+        cfg = GlobalPlaceConfig()
+        QuadraticGlobalPlacer(cfg).place(mini_accel, small_dev)
+        assert len(checked) == 1 + cfg.n_iterations
