@@ -6,7 +6,7 @@ python -m repro place    --suite skrskr1 --scale 0.1 --tool dsplacer
 python -m repro place    --suite skynet --scale 0.05 --race-k 3 --json
 python -m repro report   --suite skynet --scale 0.1 --tool vivado --paths 5
 python -m repro serve submit --suite skynet --suite skynet --scale 0.05 --workers 2
-python -m repro bench -- --update --output BENCH_hotpaths.json
+python -m repro bench -- --baseline BENCH_hotpaths.json --update
 python -m repro experiment table1
 ```
 
@@ -16,10 +16,6 @@ flag accepted by one is accepted by the other. ``place --race-k 3`` runs a
 seed portfolio through the serve worker pool and keeps the best placement;
 ``serve submit`` accepts ``--suite`` repeatedly to queue several jobs on
 one server (duplicates are answered from the result cache).
-
-Bare flags without a subcommand (``python -m repro --suite ...``) still
-work for one release via a deprecation shim that rewrites them to
-``place``; use the subcommand form.
 
 ``place``/``report`` accept the observability flags: ``--json`` writes a
 schema-valid :class:`~repro.obs.RunReport` document to stdout (everything
@@ -476,17 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
-    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
-        # one-release deprecation shim: `python -m repro --suite ...`
-        print(
-            "warning: flags without a subcommand are deprecated and will stop "
-            "working next release; use 'python -m repro place ...'",
-            file=sys.stderr,
-        )
-        argv = ["place", *argv]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -46,7 +46,11 @@ from repro.core.extraction.identification import (
     DatapathIdentifier,
     IdentificationResult,
 )
-from repro.core.placement.assignment import AssignmentConfig, DatapathDSPAssigner
+from repro.core.placement.assignment import (
+    ENGINE_FALLBACK_ORDER,
+    AssignmentConfig,
+    DatapathDSPAssigner,
+)
 from repro.core.placement.incremental import replace_other_components
 from repro.core.placement.legalization import CascadeLegalizer
 from repro.errors import ConfigurationError, NetlistValidationError, ReproError
@@ -90,14 +94,12 @@ class DSPlacerConfig:
     mcf_iterations: int = 50
     outer_iterations: int = 2
     iddfs_max_depth: int = 6
-    #: Per-iterate assignment solver. "mcf" = this repo's successive-
-    #: shortest-paths min-cost flow (the paper's formulation, solved by
-    #: LEMON's C++ network simplex there); "lsa" = scipy's Hungarian;
-    #: "auction" = this repo's vectorized ε-auction (ε-optimal; degrades to
-    #: price wars on near-tied dense rows, so not the default). All solve
-    #: the same linearized assignment — cross-checked in the tests — and
-    #: "auto" picks mcf for small instances and lsa above 64 datapath DSPs,
-    #: standing in for LEMON's C++ speed.
+    #: Per-iterate assignment solver. "mcf" = sparse min-cost assignment
+    #: over candidate windows (the paper's min-cost-flow formulation,
+    #: solved by LEMON's C++ network simplex there); "lsa" = scipy's dense
+    #: Hungarian. Both solve the same linearized assignment — cross-checked
+    #: in the tests — and "auto" picks mcf for small instances and lsa
+    #: above 64 datapath DSPs, standing in for LEMON's C++ speed.
     assignment_engine: str = "auto"
     #: > 0 enables the congestion-aware extension: DSP sites in overloaded
     #: routing bins are surcharged during assignment (see
@@ -127,6 +129,13 @@ class DSPlacerConfig:
     #: invocation; ``None`` disables budgets. Cooperative: checked between
     #: solver attempts and linearization iterates, never preemptive.
     stage_budget_s: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.assignment_engine not in ("auto", *ENGINE_FALLBACK_ORDER):
+            raise ConfigurationError(
+                f"unknown assignment_engine {self.assignment_engine!r}; choose from "
+                + ", ".join(("auto", *ENGINE_FALLBACK_ORDER))
+            )
 
     # -- serialization --------------------------------------------------
     def to_dict(self) -> dict:

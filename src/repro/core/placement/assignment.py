@@ -20,7 +20,7 @@ matrix is totally unimodular, so the min-cost-flow solution is integral.
 The ``engine`` knob selects the MCF formulation over K-nearest candidate
 arcs (paper-faithful; solved by the compiled sparse kernel in
 :mod:`repro.solvers.mcf`) or a dense Hungarian solve (`scipy`) — both
-exact, cross-checked in the tests.
+exact, cross-checked in the tests. Each is the other's fallback.
 
 The whole iterate is vectorized (see ``docs/PERFORMANCE.md``): neighbour
 lists live in padded ``(N, K)`` index/weight matrices built once in
@@ -54,14 +54,14 @@ from repro.robustness.faults import maybe_fault
 from repro.robustness.guard import SolverGuard
 from repro.solvers.mcf import min_cost_assignment
 
-#: deterministic fallback order: the configured engine first, then the rest
-#: of this tuple in order (so mcf → lsa → auction, and auction → lsa → mcf)
-ENGINE_FALLBACK_ORDER = ("lsa", "mcf", "auction")
+#: deterministic fallback order: the configured engine first, then the
+#: other one (mcf → lsa, lsa → mcf)
+ENGINE_FALLBACK_ORDER = ("lsa", "mcf")
 
 
 def engine_chain(primary: str) -> list[str]:
     """The deterministic engine fallback chain starting at ``primary``."""
-    if primary not in ("mcf", "lsa", "auction"):
+    if primary not in ENGINE_FALLBACK_ORDER:
         raise ConfigurationError(f"unknown assignment engine {primary!r}")
     return [primary] + [e for e in ENGINE_FALLBACK_ORDER if e != primary]
 
@@ -84,11 +84,10 @@ class AssignmentConfig:
     #: consecutive linearization iterates
     patience: int = 3
     max_neighbors: int = 32
-    #: per-iterate assignment solver: "mcf" (this repo's successive
-    #: shortest paths — the paper's formulation), "lsa" (scipy Hungarian),
-    #: or "auction" (this repo's ε-auction; exact to auction_tol)
+    #: per-iterate assignment solver: "mcf" (sparse min-cost assignment
+    #: over candidate windows — the paper's formulation) or "lsa" (scipy's
+    #: dense Hungarian)
     engine: str = "mcf"
-    auction_tol: float = 1e-6
     #: extension beyond the paper: penalize sites in congested routing
     #: bins (the paper observes its compact layouts raise congestion to a
     #: "medium" level; this knob trades compactness against it). 0 = off.
@@ -102,6 +101,8 @@ class AssignmentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.engine not in ENGINE_FALLBACK_ORDER:
+            raise ConfigurationError(f"unknown assignment engine {self.engine!r}")
         if not np.isfinite(self.skew_weight) or self.skew_weight < 0.0:
             raise ConfigurationError(
                 f"skew_weight must be finite and non-negative, got {self.skew_weight!r}"
@@ -359,18 +360,6 @@ class DatapathDSPAssigner:
         if engine == "lsa":
             _, cols = scipy.optimize.linear_sum_assignment(cost)
             return np.asarray(cols, dtype=np.int64)
-        if engine == "auction":
-            from repro.solvers.auction import auction_assignment
-
-            # relative ε: n·ε suboptimality ≈ auction_tol × cost spread.
-            # (identical PE chains produce near-tied cost rows; a much
-            # tighter ε degenerates into eps-increment price wars)
-            spread = float(cost.max() - cost.min())
-            eps = max(cfg.auction_tol, 1e-4) * spread / max(n, 1)
-            cols, _total = auction_assignment(cost, eps_min=eps if spread > 0 else None)
-            return cols
-        if engine != "mcf":
-            raise ConfigurationError(f"unknown assignment engine {engine!r}")
         # MCF over K-nearest candidate arcs (+ previous site for feasibility)
         k = min(cfg.candidate_k, m)
         while True:
@@ -432,8 +421,8 @@ class DatapathDSPAssigner:
     ) -> np.ndarray:
         """One per-iterate solve with the deterministic engine fallback chain.
 
-        A failing engine (e.g. the auction's non-convergence) degrades to
-        the next engine in :func:`engine_chain` instead of killing the run;
+        A failing engine degrades to the next engine in
+        :func:`engine_chain` instead of killing the run;
         with a guard the fallback is recorded in its
         :class:`~repro.robustness.RunHealth` and the stage budget is
         enforced between attempts.

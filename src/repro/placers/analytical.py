@@ -328,16 +328,11 @@ class GlobalPlaceConfig:
     #: (AMF-Placer's VCU108 heritage): spread targets overshoot the fabric
     #: and legalization has to drag everything back in.
     fabric_scale: float = 1.0
-    #: "vectorized" (grouped equalization over all slabs at once) or
-    #: "reference" (per-slab Python loop, the equivalence-test oracle)
-    spread_method: str = "vectorized"
     #: Wirelength model: "clique" (fixed connectivity Laplacian, built
     #: once) or "b2b" (Bound2Bound — rebuilt from current positions before
     #: every solve; the first solve bootstraps from the clique model since
     #: all movable cells start collapsed at the fabric centre).
     net_model: str = "clique"
-    #: B2B assembly engine: "vectorized" or "reference" (per-net loop).
-    b2b_method: str = "vectorized"
     #: B2B pin-distance clamp (µm) — collapsed pins keep finite springs.
     b2b_eps: float = 1.0
     seed: int = 0
@@ -348,12 +343,8 @@ class QuadraticGlobalPlacer:
 
     def __init__(self, config: GlobalPlaceConfig | None = None) -> None:
         self.config = config or GlobalPlaceConfig()
-        if self.config.spread_method not in ("vectorized", "reference"):
-            raise ValueError(f"unknown spread_method {self.config.spread_method!r}")
         if self.config.net_model not in ("clique", "b2b"):
             raise ValueError(f"unknown net_model {self.config.net_model!r}")
-        if self.config.b2b_method not in ("vectorized", "reference"):
-            raise ValueError(f"unknown b2b_method {self.config.b2b_method!r}")
 
     # ------------------------------------------------------------------
     def place(
@@ -458,7 +449,6 @@ class QuadraticGlobalPlacer:
                     net_w,
                     n,
                     eps=cfg.b2b_eps,
-                    method=cfg.b2b_method,
                 )
                 deg = np.asarray(adj.sum(axis=1)).ravel()
                 lap_ax = sp.diags(deg) - adj
@@ -491,9 +481,7 @@ class QuadraticGlobalPlacer:
             if use_b2b:
                 xy_cur = place.xy.copy()
                 xy_cur[mov] = pos
-                with trace.span(
-                    "global_place.solve", net_model="b2b", method=cfg.b2b_method
-                ) as span:
+                with trace.span("global_place.solve", net_model="b2b") as span:
                     pos, iters = _solve_b2b(alpha, spread, xy_cur)
                     span.set(iterations=iters)
             else:
@@ -521,15 +509,7 @@ class QuadraticGlobalPlacer:
         out = pos.copy()
         out[:, 0] = _equalize(out[:, 0], areas, 0.0, w, cfg.n_bins)
         slab = _slab_of(out[:, 0], w, cfg.n_slabs)
-        if cfg.spread_method == "vectorized":
-            out[:, 1] = _equalize_grouped(
-                out[:, 1], areas, slab, cfg.n_slabs, 0.0, h, cfg.n_bins
-            )
-        else:
-            for s in range(cfg.n_slabs):
-                sel = slab == s
-                if sel.sum() > 2:
-                    out[sel, 1] = _equalize(out[sel, 1], areas[sel], 0.0, h, cfg.n_bins)
+        out[:, 1] = _equalize_grouped(out[:, 1], areas, slab, cfg.n_slabs, 0.0, h, cfg.n_bins)
         out[:, 0] = np.clip(out[:, 0], 1.0, w - 1.0)
         out[:, 1] = np.clip(out[:, 1], 1.0, h - 1.0)
         if cfg.avoid_ps and device.ps is not None:
@@ -558,7 +538,7 @@ def _equalize_grouped(
     One flat ``np.bincount`` builds every group's area marginal; the interp
     back onto the warped edges is a gathered form of ``np.interp`` (same
     ``fp[j] + slope · (x − xp[j])`` evaluation). Groups with ≤ 2 members or
-    zero in-range area keep their coords, matching the loop reference.
+    zero in-range area keep their coords, matching the per-group loop.
     """
     if coords.size == 0:
         return coords

@@ -1,154 +1,27 @@
-"""Min-cost flow via successive shortest paths with Johnson potentials.
+"""Unit-capacity min-cost assignment: the linearized DSP assignment kernel.
 
-This replaces the LEMON solver the paper uses for the linearized DSP
-assignment (eq. 8/9): the weighted-sum-of-``x_ij`` objective under the
-assignment constraints (eq. 4) is a unit-capacity transportation problem,
-whose constraint matrix is totally unimodular, so the LP optimum — and hence
-the flow optimum — is integral (Section IV-A).
-
-The solver maintains node potentials so Dijkstra runs on non-negative
-reduced costs; an initial Bellman-Ford pass absorbs negative edge costs.
+This replaces the LEMON min-cost-flow solver the paper uses for the
+linearized DSP assignment (eq. 8/9): the weighted-sum-of-``x_ij`` objective
+under the assignment constraints (eq. 4) is a unit-capacity transportation
+problem, whose constraint matrix is totally unimodular, so the LP optimum —
+and hence the flow optimum — is integral (Section IV-A).
 
 :func:`min_cost_assignment` — the per-iterate kernel of the linearized DSP
-assignment loop — dispatches the common unit-slot-capacity case to scipy's
-sparse LAPJVsp (``csgraph.min_weight_full_bipartite_matching``), which
-solves the identical integral LP in compiled code; the pure-Python
-successive-shortest-paths network above remains the reference
-implementation (``method="ssp"``) and the only path for
-``slot_capacity != 1``. Both see the same deduplicated arc set, so their
-optima coincide (cross-checked in the tests).
+assignment loop — solves it with scipy's sparse LAPJVsp
+(``csgraph.min_weight_full_bipartite_matching``) in compiled code. The
+pure-Python successive-shortest-paths flow network and a dense Hungarian
+solver are its test oracles (``tests/oracles/solvers.py``); all three see
+the same deduplicated arc set, so their optima coincide.
 """
 
 from __future__ import annotations
-
-import heapq
-import math
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from repro.errors import SolverInfeasibleError, SolverInputError
+from repro.errors import SolverInfeasibleError
 from repro.obs import metrics
-
-
-class MinCostFlow:
-    """A directed flow network with per-edge capacity and cost.
-
-    Edges are stored pairwise (forward at even ids, residual at odd ids) in
-    flat lists — the classic forward-star layout.
-    """
-
-    def __init__(self, n_nodes: int) -> None:
-        if n_nodes <= 0:
-            raise SolverInputError("network needs at least one node")
-        self.n = n_nodes
-        self._to: list[int] = []
-        self._cap: list[float] = []
-        self._cost: list[float] = []
-        self._adj: list[list[int]] = [[] for _ in range(n_nodes)]
-
-    def add_edge(self, u: int, v: int, cap: float, cost: float) -> int:
-        """Add edge u→v; returns the forward edge id (use with :meth:`flow_on`)."""
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise IndexError(f"edge ({u}, {v}) out of range")
-        if cap < 0:
-            raise SolverInputError("negative capacity")
-        eid = len(self._to)
-        self._to.extend((v, u))
-        self._cap.extend((float(cap), 0.0))
-        self._cost.extend((float(cost), -float(cost)))
-        self._adj[u].append(eid)
-        self._adj[v].append(eid + 1)
-        return eid
-
-    def flow_on(self, eid: int) -> float:
-        """Flow currently routed through forward edge ``eid``."""
-        return self._cap[eid ^ 1]
-
-    # ------------------------------------------------------------------
-    def _bellman_ford_potentials(self, s: int) -> list[float]:
-        """Initial potentials; needed when edges carry negative costs."""
-        dist = [math.inf] * self.n
-        dist[s] = 0.0
-        for _ in range(self.n - 1):
-            changed = False
-            for u in range(self.n):
-                du = dist[u]
-                if du == math.inf:
-                    continue
-                for eid in self._adj[u]:
-                    if self._cap[eid] > 1e-12:
-                        v = self._to[eid]
-                        nd = du + self._cost[eid]
-                        if nd < dist[v] - 1e-12:
-                            dist[v] = nd
-                            changed = True
-            if not changed:
-                break
-        return [d if d < math.inf else 0.0 for d in dist]
-
-    def min_cost_flow(
-        self, s: int, t: int, max_flow: float = math.inf
-    ) -> tuple[float, float]:
-        """Send up to ``max_flow`` units from ``s`` to ``t`` at minimum cost.
-
-        Returns ``(flow_sent, total_cost)``. The network keeps its residual
-        state, so edge flows can be read back via :meth:`flow_on`.
-        """
-        if s == t:
-            raise SolverInputError("source equals sink")
-        has_negative = any(
-            self._cost[eid] < 0 and self._cap[eid] > 0 for eid in range(0, len(self._to), 2)
-        )
-        potential = self._bellman_ford_potentials(s) if has_negative else [0.0] * self.n
-
-        total_flow = 0.0
-        total_cost = 0.0
-        prev_edge = [-1] * self.n
-        metrics.inc("mcf.solves")
-
-        while total_flow < max_flow:
-            metrics.inc("mcf.augmentations")
-            dist = [math.inf] * self.n
-            dist[s] = 0.0
-            prev_edge = [-1] * self.n
-            heap: list[tuple[float, int]] = [(0.0, s)]
-            while heap:
-                d, u = heapq.heappop(heap)
-                if d > dist[u] + 1e-12:
-                    continue
-                for eid in self._adj[u]:
-                    if self._cap[eid] <= 1e-12:
-                        continue
-                    v = self._to[eid]
-                    nd = d + self._cost[eid] + potential[u] - potential[v]
-                    if nd < dist[v] - 1e-12:
-                        dist[v] = nd
-                        prev_edge[v] = eid
-                        heapq.heappush(heap, (nd, v))
-            if dist[t] == math.inf:
-                break  # no more augmenting paths
-            for v in range(self.n):
-                if dist[v] < math.inf:
-                    potential[v] += dist[v]
-            # bottleneck along the path
-            push = max_flow - total_flow
-            v = t
-            while v != s:
-                eid = prev_edge[v]
-                push = min(push, self._cap[eid])
-                v = self._to[eid ^ 1]
-            # apply
-            v = t
-            while v != s:
-                eid = prev_edge[v]
-                self._cap[eid] -= push
-                self._cap[eid ^ 1] += push
-                total_cost += push * self._cost[eid]
-                v = self._to[eid ^ 1]
-            total_flow += push
-        return total_flow, total_cost
 
 
 ArcArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -208,61 +81,22 @@ def _assignment_lapjvsp(
     return {int(r): int(c) for r, c in zip(rows, cols)}
 
 
-def _assignment_ssp(
-    n_agents: int,
-    n_slots: int,
-    agents: np.ndarray,
-    slots: np.ndarray,
-    costs: np.ndarray,
-    slot_capacity: int,
-) -> dict[int, int]:
-    """Reference path: the successive-shortest-paths flow network."""
-    s = n_agents + n_slots
-    t = s + 1
-    net = MinCostFlow(n_agents + n_slots + 2)
-    for a in range(n_agents):
-        net.add_edge(s, a, 1, 0.0)
-    edge_ids: dict[tuple[int, int], int] = {}
-    for agent, slot, cost in zip(agents.tolist(), slots.tolist(), costs.tolist()):
-        edge_ids[(agent, slot)] = net.add_edge(agent, n_agents + slot, 1, cost)
-    for slot in np.unique(slots).tolist():
-        net.add_edge(n_agents + slot, t, slot_capacity, 0.0)
-
-    flow, _cost = net.min_cost_flow(s, t, n_agents)
-    if flow < n_agents - 1e-9:
-        raise SolverInfeasibleError(
-            f"infeasible assignment: only {flow:.0f} of {n_agents} agents placeable"
-        )
-    result: dict[int, int] = {}
-    for (agent, slot), eid in edge_ids.items():
-        if net.flow_on(eid) > 0.5:
-            result[agent] = slot
-    return result
-
-
 def min_cost_assignment(
     n_agents: int,
     n_slots: int,
     arcs: list[tuple[int, int, float]] | ArcArrays,
-    slot_capacity: int = 1,
-    method: str = "auto",
 ) -> dict[int, int]:
     """Assign every agent to a slot at minimum total cost.
 
     Args:
         n_agents: Agents 0..n_agents-1; each must receive exactly one slot.
-        n_slots: Slots 0..n_slots-1; each takes at most ``slot_capacity``
-            agents.
+        n_slots: Slots 0..n_slots-1; each takes at most one agent.
         arcs: Candidate ``(agent, slot, cost)`` triples — either a list of
             tuples or a ``(agents, slots, costs)`` array triple (the DSP
             loop passes arrays to avoid materialising tuples). Duplicate
             ``(agent, slot)`` keys keep the minimum cost. Agents may only
             be assigned along a listed arc (the DSP placement restricts
             each DSP to a candidate window of sites).
-        slot_capacity: Agents a slot can take; only ``1`` is eligible for
-            the compiled fast path.
-        method: ``"auto"`` (LAPJVsp when ``slot_capacity == 1``),
-            ``"lapjvsp"``, or ``"ssp"`` (the reference flow network).
 
     Returns:
         ``{agent: slot}`` covering all agents.
@@ -270,8 +104,6 @@ def min_cost_assignment(
     Raises:
         SolverInfeasibleError: If no feasible complete assignment exists.
     """
-    if method not in ("auto", "lapjvsp", "ssp"):
-        raise SolverInputError(f"unknown assignment method {method!r}")
     if n_agents == 0:
         return {}
     agents, slots, costs = _normalize_arcs(n_agents, n_slots, arcs)
@@ -281,8 +113,4 @@ def min_cost_assignment(
             f"infeasible assignment: {n_agents - np.unique(agents).size} of "
             f"{n_agents} agents have no candidate arc"
         )
-    if method == "lapjvsp" and slot_capacity != 1:
-        raise SolverInputError("lapjvsp requires slot_capacity == 1")
-    if slot_capacity == 1 and method != "ssp":
-        return _assignment_lapjvsp(n_agents, n_slots, agents, slots, costs)
-    return _assignment_ssp(n_agents, n_slots, agents, slots, costs, slot_capacity)
+    return _assignment_lapjvsp(n_agents, n_slots, agents, slots, costs)

@@ -1,0 +1,44 @@
+"""Loop-reference oracles for the product's vectorized kernels.
+
+Each oracle computes what one product kernel computes, the slow and
+obvious way, and the equivalence suites compare the two. Where the kernel
+is one step of a larger object (STA analysis, the legalizer's single-site
+and CLB fills, router negotiation, slab spreading), the oracle is a
+subclass that overrides just that private method; the rest are
+free functions with the product function's signature.
+``tests/test_oracles.py`` checks that every oracle runs its own loop.
+Nothing under ``src/`` may import this package.
+"""
+
+from tests.oracles.extraction import (
+    extract_node_features_reference,
+    iddfs_dsp_paths_reference,
+    iddfs_single_source,
+)
+from tests.oracles.netlist import connectivity_matrix_loop
+from tests.oracles.placers import (
+    ReferenceLegalizer,
+    ReferenceSpreadPlacer,
+    b2b_adjacency_reference,
+    refine_sites_reference,
+)
+from tests.oracles.router import ReferencePatternRouter, candidate_paths
+from tests.oracles.solvers import MinCostFlow, hungarian, min_cost_assignment_ssp
+from tests.oracles.timing import ReferenceSTA
+
+__all__ = [
+    "MinCostFlow",
+    "ReferenceLegalizer",
+    "ReferencePatternRouter",
+    "ReferenceSTA",
+    "ReferenceSpreadPlacer",
+    "b2b_adjacency_reference",
+    "candidate_paths",
+    "connectivity_matrix_loop",
+    "extract_node_features_reference",
+    "hungarian",
+    "iddfs_dsp_paths_reference",
+    "iddfs_single_source",
+    "min_cost_assignment_ssp",
+    "refine_sites_reference",
+]

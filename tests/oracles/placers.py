@@ -1,0 +1,232 @@
+"""Loop oracles for the placer kernels: legalizer fills, swap refinement,
+slab spreading and B2B assembly."""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.sparse as sp
+
+from repro.fpga.device import Device
+from repro.netlist.cell import CellType
+from repro.placers.analytical import (
+    QuadraticGlobalPlacer,
+    _equalize,
+    _push_out_of_ps,
+    _slab_of,
+)
+from repro.placers.legalizer import Legalizer, _spiral
+from repro.placers.placement import Placement
+
+
+class ReferenceLegalizer(Legalizer):
+    """Same greedy order; single sites and CLB slots found one cell at a time."""
+
+    def _assign_singles(
+        self, placement: Placement, kind: str, todo: list[int], occupied: np.ndarray
+    ) -> None:
+        for idx in todo:
+            sid = self._nearest_free(kind, placement.xy[idx], occupied)
+            occupied[sid] = True
+            placement.assign_site(idx, sid)
+
+    def _fill_clb_batched(
+        self, placement, todo, xys, ci, cols, col_start, load, cap
+    ) -> None:
+        n_cols = len(cols)
+        for pos, idx in enumerate(todo):
+            c0 = int(ci[pos])
+            y = xys[pos, 1]
+            sid = self._clb_probe(c0, y, cols, col_start, load, cap, n_cols)
+            load[sid] += 1
+            placement.assign_site(idx, sid)
+
+    def _clb_probe(self, c0, y, cols, col_start, load, cap, n_cols) -> int:
+        """Find a CLB site with spare capacity, spiralling out from (c0, y)."""
+        for dc in _spiral():
+            c = c0 + dc
+            if c < 0 or c >= n_cols:
+                if abs(dc) > n_cols:
+                    raise ValueError("CLB legalization ran out of sites")
+                continue
+            col = cols[c]
+            ys = col.ys
+            r0 = int(np.clip(np.searchsorted(ys, y), 0, len(ys) - 1))
+            base = int(col_start[c])
+            for dr in range(len(ys)):
+                for r in (r0 - dr, r0 + dr) if dr else (r0,):
+                    if 0 <= r < len(ys) and load[base + r] < cap:
+                        return base + r
+        raise ValueError("unreachable")
+
+
+def _incident_nets(placement: Placement) -> list[list[int]]:
+    return placement.netlist.nets_of_cell()
+
+
+def _nets_cost(placement: Placement, net_ids: list[int]) -> float:
+    nl = placement.netlist
+    total = 0.0
+    for nid in net_ids:
+        net = nl.nets[nid]
+        pts = placement.xy[list(net.cells)]
+        total += net.weight * (
+            (pts[:, 0].max() - pts[:, 0].min()) + (pts[:, 1].max() - pts[:, 1].min())
+        )
+    return total
+
+
+def refine_sites_reference(
+    placement: Placement,
+    kinds: tuple[str, ...] = ("DSP", "BRAM"),
+    passes: int = 2,
+    n_candidates: int = 8,
+    movable_mask: np.ndarray | None = None,
+    seed: int = 0,
+) -> int:
+    """:func:`repro.placers.refine_sites` as a per-cell × per-candidate ×
+    per-net loop that trial-moves cells and reverts."""
+    nl, dev = placement.netlist, placement.device
+    incident = _incident_nets(placement)
+    rng = np.random.default_rng(seed)
+    if movable_mask is None:
+        movable_mask = np.array([not c.is_fixed for c in nl.cells])
+
+    in_macro: set[int] = set()
+    for macro in nl.macros:
+        in_macro.update(macro.dsps)
+
+    accepted = 0
+    for kind in kinds:
+        ctype = CellType.DSP if kind == "DSP" else CellType.BRAM
+        cells = [
+            c.index
+            for c in nl.cells
+            if c.ctype is ctype
+            and c.index not in in_macro
+            and movable_mask[c.index]
+            and placement.site[c.index] >= 0
+        ]
+        if not cells:
+            continue
+        site_owner = np.full(dev.n_sites(kind), -1, dtype=np.int64)
+        for c in nl.cells:
+            if c.ctype is ctype and placement.site[c.index] >= 0:
+                site_owner[placement.site[c.index]] = c.index
+
+        for _ in range(passes):
+            order = rng.permutation(len(cells))
+            moved = 0
+            for oi in order:
+                idx = cells[oi]
+                x, y = placement.xy[idx]
+                cand = dev.nearest_sites(kind, x, y, k=n_candidates)
+                base_nets = incident[idx]
+                for sid in cand:
+                    sid = int(sid)
+                    if sid == placement.site[idx]:
+                        continue
+                    other = int(site_owner[sid])
+                    if other >= 0 and (
+                        other in in_macro or not movable_mask[other] or other == idx
+                    ):
+                        continue
+                    nets = base_nets if other < 0 else list(set(base_nets) | set(incident[other]))
+                    before = _nets_cost(placement, nets)
+                    old_sid = int(placement.site[idx])
+                    placement.assign_site(idx, sid)
+                    if other >= 0:
+                        placement.assign_site(other, old_sid)
+                    after = _nets_cost(placement, nets)
+                    if after < before - 1e-9:
+                        site_owner[sid] = idx
+                        site_owner[old_sid] = other if other >= 0 else -1
+                        moved += 1
+                        break
+                    # revert
+                    placement.assign_site(idx, old_sid)
+                    if other >= 0:
+                        placement.assign_site(other, sid)
+            accepted += moved
+            if moved == 0:
+                break
+    return accepted
+
+
+class ReferenceSpreadPlacer(QuadraticGlobalPlacer):
+    """Same placer; the y equalization runs slab by slab in a Python loop."""
+
+    def _spread(self, pos: np.ndarray, areas: np.ndarray, device: Device) -> np.ndarray:
+        cfg = self.config
+        w = device.width * cfg.fabric_scale
+        h = device.height * cfg.fabric_scale
+        out = pos.copy()
+        out[:, 0] = _equalize(out[:, 0], areas, 0.0, w, cfg.n_bins)
+        slab = _slab_of(out[:, 0], w, cfg.n_slabs)
+        for s in range(cfg.n_slabs):
+            sel = slab == s
+            if sel.sum() > 2:
+                out[sel, 1] = _equalize(out[sel, 1], areas[sel], 0.0, h, cfg.n_bins)
+        out[:, 0] = np.clip(out[:, 0], 1.0, w - 1.0)
+        out[:, 1] = np.clip(out[:, 1], 1.0, h - 1.0)
+        if cfg.avoid_ps and device.ps is not None:
+            out = _push_out_of_ps(out, device)
+        return out
+
+
+def _b2b_edges_reference(
+    pin_cell: np.ndarray,
+    pin_ptr: np.ndarray,
+    coords: np.ndarray,
+    net_weights: np.ndarray,
+    eps: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-net loop — same edge multiset as the one-pass assembly."""
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    for k in range(len(pin_ptr) - 1):
+        s, e = int(pin_ptr[k]), int(pin_ptr[k + 1])
+        p = e - s
+        if p < 2:
+            continue
+        pins = pin_cell[s:e]
+        px = coords[pins]
+        lo = int(np.argmin(px))
+        hi = int(np.argmax(px))
+        scale = 2.0 * float(net_weights[k]) / (p - 1)
+
+        def _add(a: int, b: int) -> None:
+            ca, cb = int(pins[a]), int(pins[b])
+            if ca == cb:
+                return
+            d = max(abs(float(px[a]) - float(px[b])), eps)
+            rows.append(ca)
+            cols.append(cb)
+            vals.append(scale / d)
+
+        _add(lo, hi)
+        for u in range(p):
+            if u != lo and u != hi:
+                _add(u, lo)
+                _add(u, hi)
+    return (
+        np.asarray(rows, dtype=np.int64),
+        np.asarray(cols, dtype=np.int64),
+        np.asarray(vals, dtype=np.float64),
+    )
+
+
+def b2b_adjacency_reference(
+    pin_cell: np.ndarray,
+    pin_ptr: np.ndarray,
+    pin_net: np.ndarray,
+    coords: np.ndarray,
+    net_weights: np.ndarray,
+    n_cells: int,
+    eps: float = 1.0,
+) -> sp.csr_matrix:
+    """:func:`repro.placers.b2b.b2b_adjacency` from the per-net loop; takes
+    the same arguments so it can stand in for it inside the placer."""
+    rows, cols, vals = _b2b_edges_reference(pin_cell, pin_ptr, coords, net_weights, eps)
+    adj = sp.coo_matrix((vals, (rows, cols)), shape=(n_cells, n_cells)).tocsr()
+    return (adj + adj.T).tocsr()

@@ -125,6 +125,13 @@ class TestConfigFile:
         assert rc == 2
         assert "ConfigurationError" in capsys.readouterr().err
 
+    def test_unknown_assignment_engine_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"assignment_engine": "auction"}))
+        rc = main(PLACE_SMALL + ["--config", str(cfg)])
+        assert rc == 2
+        assert "ConfigurationError" in capsys.readouterr().err
+
     def test_missing_config_file_exits_2(self, capsys):
         rc = main(PLACE_SMALL + ["--config", "/nonexistent/cfg.json"])
         assert rc == 2
@@ -198,12 +205,15 @@ class TestBenchSubcommand:
 
 
 class TestFlatFlagShim:
-    def test_flat_flags_still_place_with_warning(self, capsys):
-        rc = main(["--suite", "ismartdnn", "--scale", "0.02", "--tool", "vivado"])
-        assert rc == 0
+    """The one-release shim that rewrote bare flags to ``place`` is gone."""
+
+    def test_flat_flags_are_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--suite", "ismartdnn", "--scale", "0.02", "--tool", "vivado"])
+        assert exc.value.code == 2
         out, err = capsys.readouterr()
-        assert "legal=True" in out
-        assert "deprecated" in err
+        assert out == ""
+        assert err.startswith("usage: repro")
 
     def test_subcommand_form_emits_no_warning(self, capsys):
         rc = main(["place", "--suite", "ismartdnn", "--scale", "0.02", "--tool", "vivado"])

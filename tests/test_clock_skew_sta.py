@@ -2,7 +2,7 @@
 
 Pins three contracts:
 
-- vectorized and reference STA agree to 1e-9 under **all three**
+- the STA and its loop oracle agree to 1e-9 under **all three**
   :class:`~repro.clock.SkewModel` implementations over jittered placements;
 - the default :class:`~repro.clock.RegionSkew` reproduces the historical
   inline region-step formula bitwise (reports must not move on default
@@ -29,6 +29,7 @@ from repro.fpga import slot_fabric, small_device
 from repro.netlist import CellType, Netlist
 from repro.placers import Placement
 from repro.timing import DelayModel, StaticTimingAnalyzer
+from tests.oracles import ReferenceSTA
 
 DEV = small_device(n_dsp_cols=3, dsp_rows=12)
 TREE = synthesize_htree(DEV, HTreeConfig(depth=2, jitter_ns=0.02, seed=5))
@@ -92,10 +93,10 @@ class TestEngineEquivalenceUnderSkewModels:
     def test_vectorized_matches_reference(self, case, with_slacks):
         nl, place, model_i = case
         model = _models()[model_i]
-        a = StaticTimingAnalyzer(nl, method="reference", skew_model=model).analyze(
+        a = ReferenceSTA(nl, skew_model=model).analyze(
             place, with_slacks=with_slacks
         )
-        b = StaticTimingAnalyzer(nl, method="vectorized", skew_model=model).analyze(
+        b = StaticTimingAnalyzer(nl, skew_model=model).analyze(
             place, with_slacks=with_slacks
         )
         _assert_reports_match(a, b)
@@ -105,12 +106,10 @@ class TestEngineEquivalenceUnderSkewModels:
         place = Placement(mini_accel, DEV)
         rng = np.random.default_rng(11)
         place.xy[:] = rng.uniform(0.0, [DEV.width, DEV.height], (len(mini_accel), 2))
-        a = StaticTimingAnalyzer(
-            mini_accel, method="reference", skew_model=model
-        ).analyze(place, with_slacks=True)
-        b = StaticTimingAnalyzer(
-            mini_accel, method="vectorized", skew_model=model
-        ).analyze(place, with_slacks=True)
+        a = ReferenceSTA(mini_accel, skew_model=model).analyze(place, with_slacks=True)
+        b = StaticTimingAnalyzer(mini_accel, skew_model=model).analyze(
+            place, with_slacks=True
+        )
         _assert_reports_match(a, b)
 
 
@@ -225,13 +224,15 @@ class TestSlotFabricCascadePricing:
         place.assign_site(1, ids[1])  # consecutive rows: a legal cascade hop
         return nl, place
 
-    @pytest.mark.parametrize("method", ["vectorized", "reference"])
-    def test_slot_fabric_charges_net_delay(self, method):
+    @pytest.mark.parametrize(
+        "sta_cls", [StaticTimingAnalyzer, ReferenceSTA], ids=["vectorized", "reference"]
+    )
+    def test_slot_fabric_charges_net_delay(self, sta_cls):
         dev = slot_fabric(0.05)
         assert not dev.has_cascades
         nl, place = self._cascade_pair(dev)
         dm = DelayModel()
-        rep = StaticTimingAnalyzer(nl, dm, method=method).analyze(
+        rep = sta_cls(nl, dm).analyze(
             place, period_ns=10.0
         )
         dist = float(np.abs(place.xy[0] - place.xy[1]).sum())
@@ -241,13 +242,15 @@ class TestSlotFabricCascadePricing:
         )
         assert rep.wns_ns == pytest.approx(expect, abs=1e-9)
 
-    @pytest.mark.parametrize("method", ["vectorized", "reference"])
-    def test_cascade_fabric_charges_fixed_hop(self, method):
+    @pytest.mark.parametrize(
+        "sta_cls", [StaticTimingAnalyzer, ReferenceSTA], ids=["vectorized", "reference"]
+    )
+    def test_cascade_fabric_charges_fixed_hop(self, sta_cls):
         dev = small_device(n_dsp_cols=2, dsp_rows=8, with_ps=False, name="cascdev")
         assert dev.has_cascades
         nl, place = self._cascade_pair(dev)
         dm = DelayModel()
-        rep = StaticTimingAnalyzer(nl, dm, method=method).analyze(
+        rep = sta_cls(nl, dm).analyze(
             place, period_ns=10.0
         )
         expect = (

@@ -62,13 +62,12 @@ class TestAssignerBasics:
             DatapathDSPAssigner(nl, small_dev, graph, dsps)
 
     def test_all_engines_agree(self, assigner_setup):
-        """MCF, Hungarian and auction solve the same assignment optimally."""
+        """MCF and the dense Hungarian solve the same assignment optimally."""
         nl, dev, graph, dsps = assigner_setup
         place = Placement(nl, dev)
         engines = {
             "mcf": AssignmentConfig(engine="mcf", max_iterations=1, candidate_k=dev.n_dsp),
             "lsa": AssignmentConfig(engine="lsa", max_iterations=1),
-            "auction": AssignmentConfig(engine="auction", max_iterations=1),
         }
         costs = {}
         for name, cfg in engines.items():
@@ -77,7 +76,6 @@ class TestAssignerBasics:
             sites = a._solve_once(cost, None)
             costs[name] = float(cost[np.arange(len(dsps)), sites].sum())
         assert costs["mcf"] == pytest.approx(costs["lsa"], abs=1e-9)
-        assert costs["auction"] == pytest.approx(costs["lsa"], abs=1e-4)
 
 
 class TestAngleTerm:

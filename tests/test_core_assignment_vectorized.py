@@ -19,7 +19,7 @@ from repro.core.placement import AssignmentConfig, DatapathDSPAssigner
 from repro.errors import ConfigurationError
 from repro.netlist import CellType, Netlist
 from repro.placers import Placement
-from repro.solvers.mcf import min_cost_assignment
+from tests.oracles import min_cost_assignment_ssp
 
 
 # ----------------------------------------------------------------------
@@ -254,7 +254,7 @@ class TestVectorizedEquivalence:
                         arcs.append(
                             (i, int(prev_sites[i]), float(cost[i, prev_sites[i]]))
                         )
-                ref = min_cost_assignment(n, m, arcs, method="ssp")
+                ref = min_cost_assignment_ssp(n, m, arcs)
                 assigner._cand_cache.clear()
                 got = assigner._solve_engine("mcf", cost, prev_sites)
                 assert {i: int(s) for i, s in enumerate(got)} == ref
@@ -335,6 +335,8 @@ class TestConfigValidation:
             AssignmentConfig(max_iterations=bad)
 
     def test_other_knobs_rejected(self):
+        with pytest.raises(ConfigurationError, match="assignment engine"):
+            AssignmentConfig(engine="auction")
         with pytest.raises(ConfigurationError, match="patience"):
             AssignmentConfig(patience=0)
         with pytest.raises(ConfigurationError, match="candidate_k"):

@@ -6,6 +6,8 @@ import pytest
 from repro.core import DSPlacer, DSPlacerConfig
 from repro.core.extraction import DatapathIdentifier, build_graph_sample
 from repro.core.placement import replace_other_components
+from repro.errors import ConfigurationError
+from repro.placers.api import PlacementRequest
 from repro.placers import VivadoLikePlacer
 from repro.router import GlobalRouter
 from repro.timing import StaticTimingAnalyzer
@@ -92,6 +94,19 @@ class TestConfigValidation:
     def test_untrained_gcn_rejected_at_construction(self, small_dev):
         with pytest.raises(ValueError, match="trained"):
             DSPlacer(small_dev, DSPlacerConfig(identification="gcn"))
+
+    @pytest.mark.parametrize("engine", ["banana", "auction"])
+    def test_unknown_assignment_engine_rejected(self, engine):
+        """A misspelled or retired engine fails when the config is built —
+        directly, from a dict, or as a serve request — not by rolling the
+        first outer iteration back to the prototype."""
+        with pytest.raises(ConfigurationError, match="assignment_engine"):
+            DSPlacerConfig(assignment_engine=engine)
+        with pytest.raises(ConfigurationError, match="assignment_engine"):
+            DSPlacerConfig.from_dict({"assignment_engine": engine})
+        request = PlacementRequest(suite="ismartdnn", config={"assignment_engine": engine})
+        with pytest.raises(ConfigurationError, match="assignment_engine"):
+            request.resolved_config()
 
     def test_bad_base_placer(self, small_dev, mini_accel):
         placer = DSPlacer(small_dev, DSPlacerConfig(identification="oracle", base_placer="quartus"))

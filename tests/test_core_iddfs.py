@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.extraction import iddfs_dsp_paths
 from repro.netlist import CellType, Netlist
+from tests.oracles import iddfs_dsp_paths_reference, iddfs_single_source
 
 
 class TestIDDFSBasics:
@@ -87,9 +88,7 @@ class TestEarlyExit:
     def test_deepening_stops_when_frontier_exhausted(self):
         """Regression for the dead ``continue``: once no node sits exactly at
         the current depth limit, deeper limits cannot discover anything and
-        the reference engine must stop deepening."""
-        from repro.core.extraction.iddfs import _iddfs_single_source
-
+        the IDDFS oracle must stop deepening."""
         # diameter-2 reachable set, but a huge max_depth
         nl = Netlist("short")
         a = nl.add_cell("a", CellType.DSP)
@@ -102,7 +101,7 @@ class TestEarlyExit:
             adj[net.driver].extend(net.sinks)
         is_dsp = [c.ctype.is_dsp for c in nl.cells]
         is_storage = [c.ctype.is_storage for c in nl.cells]
-        found, deepest = _iddfs_single_source(adj, is_dsp, is_storage, a, max_depth=50)
+        found, deepest = iddfs_single_source(adj, is_dsp, is_storage, a, max_depth=50)
         assert found == {b: (2, 0)}
         assert deepest <= 3  # stopped as soon as the limit overshot the reach
 
@@ -118,7 +117,7 @@ class TestEarlyExit:
             prev = l
         b = nl.add_cell("b", CellType.DSP)
         nl.add_net("last", prev, [b])
-        (p,) = iddfs_dsp_paths(nl, max_depth=6, method="python")
+        (p,) = iddfs_dsp_paths_reference(nl, max_depth=6)
         assert (p.src, p.dst, p.dist) == (a, b, 6)
 
 

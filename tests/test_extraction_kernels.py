@@ -4,9 +4,9 @@ Every compiled/batched kernel must agree with its pure-Python reference:
 
 - level-synchronous Brandes betweenness vs ``nx.betweenness_centrality``
   (exact, to 1e-9, on directed / disconnected / self-loop graphs),
-- the kernel feature backend vs the networkx backend (exact branch),
+- the feature kernels vs the networkx oracle (exact branch),
 - SCC feedback flags vs ``nx.strongly_connected_components``,
-- batched BFS DSP paths vs the pure-Python IDDFS reference under jittered
+- batched BFS DSP paths vs the pure-Python IDDFS oracle under jittered
   ``max_fanout`` / ``max_depth``,
 - the sampled-closeness pivot fix (regression for the off-by-one bias).
 """
@@ -22,6 +22,7 @@ from repro.core.extraction import FeatureConfig, betweenness_csr, extract_node_f
 from repro.core.extraction.features import _sampled_closeness
 from repro.core.extraction.iddfs import iddfs_dsp_paths
 from repro.netlist import CellType, Netlist
+from tests.oracles import extract_node_features_reference, iddfs_dsp_paths_reference
 
 
 # ----------------------------------------------------------------------
@@ -129,14 +130,14 @@ class TestFeatureBackendEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(random_netlist())
     def test_exact_branch_matches_networkx(self, nl):
-        kern = extract_node_features(nl, FeatureConfig(backend="kernels"))
-        ref = extract_node_features(nl, FeatureConfig(backend="networkx"))
+        kern = extract_node_features(nl)
+        ref = extract_node_features_reference(nl)
         np.testing.assert_allclose(kern, ref, atol=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(random_netlist())
     def test_scc_flags_match_networkx(self, nl):
-        feats = extract_node_features(nl, FeatureConfig(backend="kernels"))
+        feats = extract_node_features(nl)
         g = nx.DiGraph()
         g.add_nodes_from(range(len(nl)))
         for net in nl.nets:
@@ -150,7 +151,8 @@ class TestFeatureBackendEquivalence:
         np.testing.assert_array_equal(feats[:, 1], expect)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
+        """Features have one engine: no ``backend`` knob is accepted."""
+        with pytest.raises(TypeError, match="backend"):
             FeatureConfig(backend="cuda")
 
 
@@ -211,8 +213,8 @@ class TestIDDFSKernelEquivalence:
         st.integers(min_value=1, max_value=5),
     )
     def test_paths_match_reference(self, nl, max_depth, max_fanout):
-        bfs = iddfs_dsp_paths(nl, max_depth=max_depth, max_fanout=max_fanout, method="bfs")
-        ref = iddfs_dsp_paths(nl, max_depth=max_depth, max_fanout=max_fanout, method="python")
+        bfs = iddfs_dsp_paths(nl, max_depth=max_depth, max_fanout=max_fanout)
+        ref = iddfs_dsp_paths_reference(nl, max_depth=max_depth, max_fanout=max_fanout)
         assert [(p.src, p.dst, p.dist, p.n_storage) for p in bfs] == [
             (p.src, p.dst, p.dist, p.n_storage) for p in ref
         ]
@@ -222,8 +224,8 @@ class TestIDDFSKernelEquivalence:
     def test_sources_restriction_matches(self, nl, pick):
         dsps = nl.dsp_indices()
         sources = dsps[pick::3]
-        bfs = iddfs_dsp_paths(nl, sources=sources, method="bfs")
-        ref = iddfs_dsp_paths(nl, sources=sources, method="python")
+        bfs = iddfs_dsp_paths(nl, sources=sources)
+        ref = iddfs_dsp_paths_reference(nl, sources=sources)
         assert bfs == ref
 
     def test_min_storage_over_tied_shortest_paths(self):
@@ -241,14 +243,14 @@ class TestIDDFSKernelEquivalence:
         nl.add_net("s2", l1, [l2])
         nl.add_net("s3", f2, [b])
         nl.add_net("s4", l2, [b])
-        for method in ("bfs", "python"):
-            (p,) = iddfs_dsp_paths(nl, method=method)
-            assert (p.src, p.dst, p.dist, p.n_storage) == (a, b, 3, 0), method
+        for search in (iddfs_dsp_paths, iddfs_dsp_paths_reference):
+            (p,) = search(nl)
+            assert (p.src, p.dst, p.dist, p.n_storage) == (a, b, 3, 0), search.__name__
 
     def test_unknown_method_rejected(self):
         nl = Netlist("x")
         a = nl.add_cell("a", CellType.DSP)
         b = nl.add_cell("b", CellType.DSP)
         nl.add_net("n", a, [b])
-        with pytest.raises(ValueError, match="unknown method"):
+        with pytest.raises(TypeError, match="method"):
             iddfs_dsp_paths(nl, method="dfs")

@@ -1,8 +1,9 @@
 """Batched legalizer vs the per-cell loop oracle, plus the saturation paths.
 
-The vectorized engine batches the single-DSP/BRAM nearest-site queries and
-the CLB row fill; all assignment decisions (greedy order, spiral search,
-row tie-breaks, escalation) must match the reference engine site-for-site.
+The legalizer batches the single-DSP/BRAM nearest-site queries and the CLB
+row fill; all assignment decisions (greedy order, spiral search, row
+tie-breaks, escalation) must match the per-cell loop oracle
+(``tests.oracles.ReferenceLegalizer``) site-for-site.
 The saturation tests cover the escalating ``_nearest_free`` suffix scan and
 the dense-packing fallback for near-full cascade loads.
 """
@@ -17,6 +18,7 @@ from repro.placers import (
     Placement,
     QuadraticGlobalPlacer,
 )
+from tests.oracles import ReferenceLegalizer
 
 
 @pytest.fixture(scope="module")
@@ -28,8 +30,8 @@ def spread(request):
 
 class TestEquivalence:
     def test_identical_assignments(self, spread, small_dev):
-        p_ref = Legalizer(small_dev, method="reference").legalize(spread.copy())
-        p_vec = Legalizer(small_dev, method="vectorized").legalize(spread.copy())
+        p_ref = ReferenceLegalizer(small_dev).legalize(spread.copy())
+        p_vec = Legalizer(small_dev).legalize(spread.copy())
         np.testing.assert_array_equal(p_vec.site, p_ref.site)
         np.testing.assert_array_equal(p_vec.xy, p_ref.xy)
         assert p_vec.is_legal()
@@ -43,12 +45,13 @@ class TestEquivalence:
                 np.array([not c.is_fixed for c in base.netlist.cells])
             )
             base.xy[mov] += r.uniform(-40.0, 40.0, (mov.size, 2))
-            p_ref = Legalizer(small_dev, method="reference").legalize(base.copy())
-            p_vec = Legalizer(small_dev, method="vectorized").legalize(base.copy())
+            p_ref = ReferenceLegalizer(small_dev).legalize(base.copy())
+            p_vec = Legalizer(small_dev).legalize(base.copy())
             np.testing.assert_array_equal(p_vec.site, p_ref.site)
 
     def test_unknown_method_rejected(self, small_dev):
-        with pytest.raises(ValueError, match="legalizer method"):
+        """The legalizer has one engine: no ``method`` knob is accepted."""
+        with pytest.raises(TypeError, match="method"):
             Legalizer(small_dev, method="banana")
 
 
@@ -116,13 +119,13 @@ class TestNearestFreeEscalation:
         nl, _, singles = _dsp_only_netlist(n_singles=n - 2)
         rng = np.random.default_rng(7)
         results = []
-        for method in ("reference", "vectorized"):
+        for legalizer_cls in (ReferenceLegalizer, Legalizer):
             place = Placement(nl, small_dev)
             place.xy[:] = rng.uniform(
                 0.0, [small_dev.width, small_dev.height], (len(nl.cells), 2)
             )
             rng = np.random.default_rng(7)  # same targets for both engines
-            Legalizer(small_dev, method=method).legalize_dsps(
+            legalizer_cls(small_dev).legalize_dsps(
                 place, np.ones(len(nl.cells), dtype=bool)
             )
             results.append(place.site.copy())

@@ -1,0 +1,162 @@
+"""Every oracle in ``tests/oracles`` runs its own loop, never the product's.
+
+An equivalence suite compares a product kernel with its oracle. If an
+oracle's override were misspelled (or it delegated to the product), the
+suite would compare the product with itself and pass. Here the product
+kernel each oracle replaces is patched to raise: the product path must then
+fail, and the oracle must still complete.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, NamedTuple
+
+import numpy as np
+import pytest
+
+import repro.core.extraction.features as features_mod
+import repro.core.extraction.iddfs as iddfs_mod
+import repro.netlist.graph as graph_mod
+import repro.placers.analytical as analytical_mod
+import repro.placers.b2b as b2b_mod
+import repro.placers.detailed as detailed_mod
+import repro.solvers.mcf as mcf_mod
+from repro.core.extraction import extract_node_features, iddfs_dsp_paths
+from repro.netlist.csr import get_csr
+from repro.placers import Legalizer, Placement, QuadraticGlobalPlacer, refine_sites
+from repro.router.pattern_router import PatternRouter
+from repro.solvers import min_cost_assignment
+from repro.timing import StaticTimingAnalyzer
+from tests.oracles import (
+    ReferenceLegalizer,
+    ReferencePatternRouter,
+    ReferenceSpreadPlacer,
+    ReferenceSTA,
+    b2b_adjacency_reference,
+    connectivity_matrix_loop,
+    extract_node_features_reference,
+    hungarian,
+    iddfs_dsp_paths_reference,
+    min_cost_assignment_ssp,
+    refine_sites_reference,
+)
+
+
+class ProductKernelReached(Exception):
+    """Raised by a patched-out product kernel."""
+
+
+def _b2b_args(p: Placement):
+    ctx = get_csr(p.netlist)
+    weights = np.ones(len(p.netlist.nets))
+    return ctx.pin_cell, ctx.pin_ptr, ctx.pin_net, p.xy[:, 0], weights, len(p.netlist.cells)
+
+
+def _spread_args(p: Placement):
+    rng = np.random.default_rng(1)
+    pos = rng.uniform(0.0, [p.device.width, p.device.height], (40, 2))
+    return pos, rng.uniform(1.0, 4.0, 40), p.device
+
+
+_ARCS = [(0, 0, 3.0), (0, 1, 1.0), (1, 0, 1.0), (1, 2, 5.0), (2, 1, 2.0), (2, 2, 4.0)]
+_COST = np.array([[3.0, 1.0, 9.0], [1.0, 9.0, 5.0], [9.0, 2.0, 4.0]])
+
+
+class OracleCase(NamedTuple):
+    name: str
+    #: (owner, attribute) of each product kernel the oracle replaces
+    replaces: list[tuple[object, str]]
+    product: Callable[[Placement], object]
+    oracle: Callable[[Placement], object]
+
+
+CASES = [
+    OracleCase(
+        "sta",
+        [(StaticTimingAnalyzer, "_analyze_vectorized")],
+        lambda p: StaticTimingAnalyzer(p.netlist).analyze(p, with_slacks=True),
+        lambda p: ReferenceSTA(p.netlist).analyze(p, with_slacks=True),
+    ),
+    OracleCase(
+        "legalizer",
+        [(Legalizer, "_assign_singles"), (Legalizer, "_fill_clb_batched")],
+        lambda p: Legalizer(p.device).legalize(p.copy()),
+        lambda p: ReferenceLegalizer(p.device).legalize(p.copy()),
+    ),
+    OracleCase(
+        "refine",
+        [(detailed_mod, "_refine_vectorized")],
+        lambda p: refine_sites(p.copy()),
+        lambda p: refine_sites_reference(p.copy()),
+    ),
+    OracleCase(
+        "spread",
+        [(analytical_mod, "_equalize_grouped")],
+        lambda p: QuadraticGlobalPlacer()._spread(*_spread_args(p)),
+        lambda p: ReferenceSpreadPlacer()._spread(*_spread_args(p)),
+    ),
+    OracleCase(
+        "b2b",
+        [(b2b_mod, "_b2b_edges_vectorized")],
+        lambda p: b2b_mod.b2b_adjacency(*_b2b_args(p)),
+        lambda p: b2b_adjacency_reference(*_b2b_args(p)),
+    ),
+    OracleCase(
+        "router",
+        [(PatternRouter, "_negotiate_vectorized")],
+        lambda p: PatternRouter(grid=(4, 4)).route(p),
+        lambda p: ReferencePatternRouter(grid=(4, 4)).route(p),
+    ),
+    OracleCase(
+        "iddfs",
+        [(iddfs_mod, "_bfs_impl")],
+        lambda p: iddfs_dsp_paths(p.netlist),
+        lambda p: iddfs_dsp_paths_reference(p.netlist),
+    ),
+    OracleCase(
+        "features",
+        [(features_mod, "_features_impl")],
+        lambda p: extract_node_features(p.netlist),
+        lambda p: extract_node_features_reference(p.netlist),
+    ),
+    OracleCase(
+        "connectivity",
+        [(graph_mod, "connectivity_matrix")],
+        lambda p: graph_mod.connectivity_matrix(p.netlist),
+        lambda p: connectivity_matrix_loop(p.netlist),
+    ),
+    OracleCase(
+        "ssp",
+        [(mcf_mod, "_assignment_lapjvsp")],
+        lambda p: min_cost_assignment(3, 3, _ARCS),
+        lambda p: min_cost_assignment_ssp(3, 3, _ARCS),
+    ),
+    OracleCase(
+        "hungarian",
+        [(mcf_mod, "_assignment_lapjvsp")],
+        lambda p: min_cost_assignment(3, 3, _ARCS),
+        lambda p: hungarian(_COST),
+    ),
+]
+
+
+@pytest.fixture()
+def placed(tiny_netlist, small_dev):
+    p = Placement(tiny_netlist, small_dev)
+    mov = tiny_netlist.movable_indices()
+    rng = np.random.default_rng(0)
+    p.xy[mov] = rng.uniform([0, 0], [small_dev.width, small_dev.height], (len(mov), 2))
+    Legalizer(small_dev).legalize(p)
+    return p
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c.name for c in CASES])
+def test_oracle_runs_its_own_loop(case, placed, monkeypatch):
+    def _reached(*args, **kwargs):
+        raise ProductKernelReached(case.name)
+
+    for owner, attr in case.replaces:
+        monkeypatch.setattr(owner, attr, _reached)
+    with pytest.raises(ProductKernelReached):
+        case.product(placed)
+    case.oracle(placed)

@@ -1,11 +1,12 @@
 """B2B net model: vectorized-vs-reference equivalence + placer integration.
 
-The one-pass assembly (``b2b_method="vectorized"``) must produce the same
-symmetric adjacency as the per-net loop oracle on any pin structure and any
-coordinates — including collapsed pins, duplicate cells on one net, and
-single-pin nets. At the placer level, the B2B model must beat the clique
-model's HPWL on the generated fixture (that is the point of the model) and
-both assembly engines must yield bitwise-identical placements.
+The one-pass assembly must produce the same symmetric adjacency as the
+per-net loop oracle (``tests.oracles.b2b_adjacency_reference``) on any pin
+structure and any coordinates — including collapsed pins, duplicate cells
+on one net, and single-pin nets. At the placer level, the B2B model must
+beat the clique model's HPWL on the generated fixture (that is the point of
+the model) and the placer must yield a bitwise-identical placement with the
+oracle swapped in.
 """
 
 import numpy as np
@@ -14,15 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netlist.csr import get_csr
+from repro.placers import analytical
 from repro.placers.analytical import GlobalPlaceConfig, QuadraticGlobalPlacer
 from repro.placers.b2b import b2b_adjacency
+from tests.oracles import b2b_adjacency_reference
 
 
 def _both(pin_cell, pin_ptr, pin_net, coords, weights, n_cells, eps=1.0):
-    vec = b2b_adjacency(pin_cell, pin_ptr, pin_net, coords, weights, n_cells,
-                        eps=eps, method="vectorized")
-    ref = b2b_adjacency(pin_cell, pin_ptr, pin_net, coords, weights, n_cells,
-                        eps=eps, method="reference")
+    vec = b2b_adjacency(pin_cell, pin_ptr, pin_net, coords, weights, n_cells, eps=eps)
+    ref = b2b_adjacency_reference(
+        pin_cell, pin_ptr, pin_net, coords, weights, n_cells, eps=eps
+    )
     return vec, ref
 
 
@@ -93,13 +96,11 @@ class TestPlacerIntegration:
             hp[nm] = p.hpwl()
         assert hp["b2b"] < hp["clique"]
 
-    def test_assembly_engines_identical_solution(self, mini_accel, small_dev):
-        a = QuadraticGlobalPlacer(
-            GlobalPlaceConfig(net_model="b2b", b2b_method="vectorized", seed=0)
-        ).place(mini_accel, small_dev)
-        b = QuadraticGlobalPlacer(
-            GlobalPlaceConfig(net_model="b2b", b2b_method="reference", seed=0)
-        ).place(mini_accel, small_dev)
+    def test_assembly_engines_identical_solution(self, mini_accel, small_dev, monkeypatch):
+        cfg = GlobalPlaceConfig(net_model="b2b", seed=0)
+        a = QuadraticGlobalPlacer(cfg).place(mini_accel, small_dev)
+        monkeypatch.setattr(analytical, "b2b_adjacency", b2b_adjacency_reference)
+        b = QuadraticGlobalPlacer(cfg).place(mini_accel, small_dev)
         np.testing.assert_array_equal(a.xy, b.xy)
 
     def test_unknown_net_model_rejected(self):
@@ -107,12 +108,13 @@ class TestPlacerIntegration:
             QuadraticGlobalPlacer(GlobalPlaceConfig(net_model="star"))
 
     def test_unknown_b2b_method_rejected(self):
-        with pytest.raises(ValueError, match="b2b_method"):
-            QuadraticGlobalPlacer(GlobalPlaceConfig(b2b_method="banana"))
+        """B2B assembly has one engine: no ``b2b_method`` knob is accepted."""
+        with pytest.raises(TypeError, match="b2b_method"):
+            GlobalPlaceConfig(b2b_method="banana")
 
     def test_unknown_assembly_method_rejected(self, tiny_netlist):
         ctx = get_csr(tiny_netlist)
-        with pytest.raises(ValueError, match="b2b method"):
+        with pytest.raises(TypeError, match="method"):
             b2b_adjacency(ctx.pin_cell, ctx.pin_ptr, ctx.pin_net,
                           np.zeros(len(tiny_netlist.cells)),
                           np.ones(len(tiny_netlist.nets)),

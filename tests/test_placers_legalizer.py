@@ -5,6 +5,7 @@ import pytest
 
 from repro.placers import Legalizer, Placement
 from repro.netlist import CellType, Netlist
+from tests.oracles import ReferenceLegalizer
 
 
 @pytest.fixture()
@@ -147,11 +148,13 @@ class TestLockedCells:
             mask[cells] = False
         return p, mask, sited, unsited, full_site
 
-    @pytest.mark.parametrize("method", ["vectorized", "reference"])
-    def test_locked_cells_respected(self, locked, small_dev, mini_accel, method):
+    @pytest.mark.parametrize(
+        "legalizer_cls", [Legalizer, ReferenceLegalizer], ids=["vectorized", "reference"]
+    )
+    def test_locked_cells_respected(self, locked, small_dev, mini_accel, legalizer_cls):
         p, mask, sited, unsited, full_site = locked
         before = p.copy()
-        Legalizer(small_dev, method=method).legalize(p, movable_mask=mask)
+        legalizer_cls(small_dev).legalize(p, movable_mask=mask)
         assert p.is_legal(), p.legality_violations()[:5]
         for kind, cells in sited.items():
             assert np.array_equal(p.site[cells], before.site[cells])
@@ -177,8 +180,8 @@ class TestLockedCells:
     def test_engines_agree_with_locked_cells(self, locked, small_dev):
         p, mask, *_ = locked
         q = p.copy()
-        Legalizer(small_dev, method="vectorized").legalize(p, movable_mask=mask)
-        Legalizer(small_dev, method="reference").legalize(q, movable_mask=mask)
+        Legalizer(small_dev).legalize(p, movable_mask=mask)
+        ReferenceLegalizer(small_dev).legalize(q, movable_mask=mask)
         assert np.array_equal(p.site, q.site)
         assert np.array_equal(p.xy, q.xy)
 

@@ -1,10 +1,11 @@
 """Batched refine engine vs the per-cell loop oracle.
 
-The vectorized engine precomputes rest extremes, candidate verdicts, and
-owner runs at pass start, and falls back to live recomputation when moves
+``refine_sites`` precomputes rest extremes, candidate verdicts, and owner
+runs at pass start, and falls back to live recomputation when moves
 invalidate them — all accept decisions must stay bitwise-identical to the
-reference, so at a fixed seed both engines visit the same cells, accept
-the same moves/swaps, and land every cell on the same site.
+oracle (``tests.oracles.refine_sites_reference``), so at a fixed seed both
+visit the same cells, accept the same moves/swaps, and land every cell on
+the same site.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.placers import (
     QuadraticGlobalPlacer,
     refine_sites,
 )
+from tests.oracles import refine_sites_reference
 
 
 @pytest.fixture(scope="module")
@@ -31,9 +33,9 @@ def legalized(request):
     return place
 
 
-def _run(base: Placement, method: str, **kw):
+def _run(base: Placement, refine, **kw):
     p = base.copy()
-    accepted = refine_sites(p, method=method, **kw)
+    accepted = refine(p, **kw)
     return accepted, p
 
 
@@ -42,16 +44,16 @@ class TestEquivalence:
         "passes,k", [(1, 4), (2, 8), (4, 16)], ids=["1x4", "2x8", "4x16"]
     )
     def test_identical_sites_and_accept_count(self, legalized, passes, k):
-        a_ref, p_ref = _run(legalized, "reference", passes=passes,
+        a_ref, p_ref = _run(legalized, refine_sites_reference, passes=passes,
                             n_candidates=k, seed=0)
-        a_vec, p_vec = _run(legalized, "vectorized", passes=passes,
+        a_vec, p_vec = _run(legalized, refine_sites, passes=passes,
                             n_candidates=k, seed=0)
         assert a_vec == a_ref
         np.testing.assert_array_equal(p_vec.site, p_ref.site)
         np.testing.assert_array_equal(p_vec.xy, p_ref.xy)
 
     def test_refinement_not_a_noop(self, legalized):
-        a_vec, p_vec = _run(legalized, "vectorized", passes=2,
+        a_vec, p_vec = _run(legalized, refine_sites, passes=2,
                             n_candidates=8, seed=0)
         assert a_vec > 0
         assert p_vec.hpwl() < legalized.hpwl()
@@ -69,22 +71,23 @@ class TestEquivalence:
         is_bram = ctx.site_code == SITE_KIND_CODES.index("BRAM")
         logic = np.flatnonzero(~ctx.is_dsp & ~is_bram & ~ctx.is_fixed)
         base.xy[logic] += rng.uniform(-15.0, 15.0, (logic.size, 2))
-        a_ref, p_ref = _run(base, "reference", passes=passes,
+        a_ref, p_ref = _run(base, refine_sites_reference, passes=passes,
                             n_candidates=k, seed=seed)
-        a_vec, p_vec = _run(base, "vectorized", passes=passes,
+        a_vec, p_vec = _run(base, refine_sites, passes=passes,
                             n_candidates=k, seed=seed)
         assert a_vec == a_ref
         np.testing.assert_array_equal(p_vec.site, p_ref.site)
 
     def test_movable_mask_respected(self, legalized):
         mask = np.zeros(len(legalized.netlist.cells), dtype=bool)
-        a_ref, p_ref = _run(legalized, "reference", passes=2,
+        a_ref, p_ref = _run(legalized, refine_sites_reference, passes=2,
                             n_candidates=8, seed=0, movable_mask=mask)
-        a_vec, p_vec = _run(legalized, "vectorized", passes=2,
+        a_vec, p_vec = _run(legalized, refine_sites, passes=2,
                             n_candidates=8, seed=0, movable_mask=mask)
         assert a_ref == a_vec == 0
         np.testing.assert_array_equal(p_vec.site, legalized.site)
 
     def test_unknown_method_rejected(self, legalized):
-        with pytest.raises(ValueError, match="refine method"):
+        """Refinement has one engine: no ``method`` knob is accepted."""
+        with pytest.raises(TypeError, match="method"):
             refine_sites(legalized.copy(), method="banana")

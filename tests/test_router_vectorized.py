@@ -1,8 +1,9 @@
 """Vectorized-vs-reference pattern-router equivalence + candidate dedupe.
 
-Both negotiation engines implement the same frozen-round semantics (see the
-``pattern_router`` module docstring); the batched one must reproduce the
-per-connection loop oracle to 1e-9 on every ``RoutingResult`` field across
+The batched negotiation and its per-connection loop oracle
+(``tests.oracles.ReferencePatternRouter``) implement the same frozen-round
+semantics (see the ``pattern_router`` module docstring); the router must
+reproduce the oracle to 1e-9 on every ``RoutingResult`` field across
 random placements, grid sizes, fanouts, and congestion levels.
 """
 
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from repro.fpga import small_device
 from repro.netlist import CellType, Netlist
 from repro.placers import Placement
-from repro.router.pattern_router import PatternRouter, candidate_paths
+from repro.router.pattern_router import PatternRouter
+from tests.oracles import ReferencePatternRouter, candidate_paths
 
 DEV = small_device(n_dsp_cols=3, dsp_rows=12)
 
@@ -49,8 +51,8 @@ class TestVectorizedEquivalence:
     def test_matches_reference(self, case):
         place, grid, capacity, n_rounds = case
         kw = dict(grid=grid, capacity_per_edge=capacity, n_rounds=n_rounds)
-        a = PatternRouter(method="reference", **kw).route(place)
-        b = PatternRouter(method="vectorized", **kw).route(place)
+        a = ReferencePatternRouter(**kw).route(place)
+        b = PatternRouter(**kw).route(place)
         np.testing.assert_allclose(a.net_detour, b.net_detour, rtol=0, atol=1e-9)
         np.testing.assert_allclose(a.net_routed_len, b.net_routed_len, rtol=0, atol=1e-9)
         np.testing.assert_allclose(a.congestion, b.congestion, rtol=0, atol=1e-9)
@@ -58,7 +60,8 @@ class TestVectorizedEquivalence:
         assert a.overflow_frac == pytest.approx(b.overflow_frac, abs=1e-12)
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="method"):
+        """The router has one engine: no ``method`` knob is accepted."""
+        with pytest.raises(TypeError, match="method"):
             PatternRouter(method="banana")
 
 

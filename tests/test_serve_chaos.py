@@ -84,7 +84,7 @@ class TestInjectedFaults:
 
     def test_all_engines_down_rolls_back_but_serves(self, server, small_dev, mini_accel):
         fi = FaultInjector()
-        for engine in ("mcf", "lsa", "auction"):
+        for engine in ("mcf", "lsa"):
             fi.fail_on(f"assignment.{engine}", call=EVERY_CALL)
         resp = server.submit(
             chaos_request(fi), netlist=mini_accel, device=small_dev
@@ -99,7 +99,7 @@ class TestInjectedFaults:
         from repro.errors import SolverError
 
         fi = FaultInjector()
-        for engine in ("mcf", "lsa", "auction"):
+        for engine in ("mcf", "lsa"):
             fi.fail_on(f"assignment.{engine}", call=EVERY_CALL)
         req = chaos_request(fi, config={"outer_iterations": 1, "strict": True})
         resp = server.submit(req, netlist=mini_accel, device=small_dev).result(timeout=120)

@@ -1,11 +1,11 @@
-"""Hungarian algorithm vs scipy's linear_sum_assignment."""
+"""The Hungarian oracle vs scipy's linear_sum_assignment."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from repro.solvers import hungarian
+from tests.oracles import hungarian
 
 
 class TestHungarian:

@@ -3,9 +3,10 @@
 ``_spread`` historically selected slab members with ``>= edge[s] & <
 edge[s+1]`` scans, so a cell sitting at (or, via the ``_equalize``
 monotonicity epsilon, just above) the last slab edge matched no slab and
-its y coordinate was never equalized. Both methods now share clipped
-``np.digitize`` membership; the vectorized grouped equalization must match
-the per-slab loop oracle to 1e-9.
+its y coordinate was never equalized. The placer and its per-slab loop
+oracle (``tests.oracles.ReferenceSpreadPlacer``) share clipped
+``np.digitize`` membership; the grouped equalization must match the loop
+to 1e-9.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from repro.fpga import small_device
 from repro.placers import GlobalPlaceConfig, QuadraticGlobalPlacer
 from repro.placers.analytical import _equalize, _equalize_grouped, _slab_of
+from tests.oracles import ReferenceSpreadPlacer
 
 DEV = small_device(n_dsp_cols=3, dsp_rows=12)
 
@@ -42,12 +44,9 @@ class TestVectorizedEquivalence:
     @given(spread_case())
     def test_spread_matches_reference(self, case):
         pos, areas, n_slabs, n_bins = case
-        a = QuadraticGlobalPlacer(
-            GlobalPlaceConfig(n_slabs=n_slabs, n_bins=n_bins, spread_method="vectorized")
-        )._spread(pos, areas, DEV)
-        b = QuadraticGlobalPlacer(
-            GlobalPlaceConfig(n_slabs=n_slabs, n_bins=n_bins, spread_method="reference")
-        )._spread(pos, areas, DEV)
+        cfg = GlobalPlaceConfig(n_slabs=n_slabs, n_bins=n_bins)
+        a = QuadraticGlobalPlacer(cfg)._spread(pos, areas, DEV)
+        b = ReferenceSpreadPlacer(cfg)._spread(pos, areas, DEV)
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
 
     @settings(max_examples=60, deadline=None)
@@ -65,8 +64,9 @@ class TestVectorizedEquivalence:
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-9)
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="spread_method"):
-            QuadraticGlobalPlacer(GlobalPlaceConfig(spread_method="banana"))
+        """Spreading has one engine: no ``spread_method`` knob is accepted."""
+        with pytest.raises(TypeError, match="spread_method"):
+            GlobalPlaceConfig(spread_method="banana")
 
 
 class TestSlabBoundaryRegression:
@@ -78,8 +78,12 @@ class TestSlabBoundaryRegression:
         # the old >=/< scan left x >= w unmatched; digitize maps it last
         assert s[-2] == 3 and s[-1] == 3
 
-    @pytest.mark.parametrize("method", ["vectorized", "reference"])
-    def test_max_x_cell_is_equalized(self, method):
+    @pytest.mark.parametrize(
+        "placer_cls",
+        [QuadraticGlobalPlacer, ReferenceSpreadPlacer],
+        ids=["vectorized", "reference"],
+    )
+    def test_max_x_cell_is_equalized(self, placer_cls):
         """The x-equalization epsilon pushes the max-x cell just past the
         fabric edge; its y must still be spread with its slab."""
         n = 50
@@ -88,9 +92,7 @@ class TestSlabBoundaryRegression:
             [np.linspace(0.0, DEV.width, n), np.full(n, DEV.height / 2)]
         )
         areas = rng.uniform(1.0, 4.0, n)
-        placer = QuadraticGlobalPlacer(
-            GlobalPlaceConfig(n_slabs=4, n_bins=32, spread_method=method, avoid_ps=False)
-        )
+        placer = placer_cls(GlobalPlaceConfig(n_slabs=4, n_bins=32, avoid_ps=False))
         out = placer._spread(pos, areas, DEV)
         top = int(np.argmax(out[:, 0]))
         assert out[top, 0] >= DEV.width - 1.5  # still the edge cell

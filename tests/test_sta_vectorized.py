@@ -1,9 +1,9 @@
 """Vectorized-vs-reference STA equivalence + cascade-adjacency regression.
 
-The level-batched engine (``method="vectorized"``) must reproduce the
-per-cell loop oracle (``method="reference"``) to 1e-9 on every report
-field, across random netlists (including combinational cycles), random
-placements, detoured routing, and skewed/skew-free delay models.
+The level-batched analysis must reproduce the per-cell loop oracle
+(``tests.oracles.ReferenceSTA``) to 1e-9 on every report field, across
+random netlists (including combinational cycles), random placements,
+detoured routing, and skewed/skew-free delay models.
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ from repro.netlist import CellType, Netlist
 from repro.placers import Placement
 from repro.router.global_router import RoutingResult
 from repro.timing import DelayModel, StaticTimingAnalyzer
+from tests.oracles import ReferenceSTA
 
 DEV = small_device(n_dsp_cols=3, dsp_rows=12)
 
@@ -94,8 +95,8 @@ class TestVectorizedEquivalence:
     @given(sta_case(), st.booleans())
     def test_matches_reference(self, case, with_slacks):
         nl, place, routing, dm = case
-        ref = StaticTimingAnalyzer(nl, dm, method="reference")
-        vec = StaticTimingAnalyzer(nl, dm, method="vectorized")
+        ref = ReferenceSTA(nl, dm)
+        vec = StaticTimingAnalyzer(nl, dm)
         a = ref.analyze(place, routing, with_slacks=with_slacks)
         b = vec.analyze(place, routing, with_slacks=with_slacks)
         _assert_reports_match(a, b)
@@ -104,9 +105,9 @@ class TestVectorizedEquivalence:
     @given(sta_case())
     def test_path_of_matches(self, case):
         nl, place, routing, dm = case
-        ref = StaticTimingAnalyzer(nl, dm, method="reference")
+        ref = ReferenceSTA(nl, dm)
         a = ref.analyze(place, routing)
-        b = StaticTimingAnalyzer(nl, dm, method="vectorized").analyze(place, routing)
+        b = StaticTimingAnalyzer(nl, dm).analyze(place, routing)
         for k in range(min(3, a.n_endpoints)):
             assert a.path_of(k) == b.path_of(k)
 
@@ -114,16 +115,17 @@ class TestVectorizedEquivalence:
         place = Placement(mini_accel, DEV)
         rng = np.random.default_rng(7)
         place.xy[:] = rng.uniform(0.0, [DEV.width, DEV.height], (len(mini_accel), 2))
-        a = StaticTimingAnalyzer(mini_accel, method="reference").analyze(
+        a = ReferenceSTA(mini_accel).analyze(
             place, with_slacks=True
         )
-        b = StaticTimingAnalyzer(mini_accel, method="vectorized").analyze(
+        b = StaticTimingAnalyzer(mini_accel).analyze(
             place, with_slacks=True
         )
         _assert_reports_match(a, b)
 
     def test_unknown_method_rejected(self, mini_accel):
-        with pytest.raises(ValueError, match="method"):
+        """The analysis has one engine: no ``method`` knob is accepted."""
+        with pytest.raises(TypeError, match="method"):
             StaticTimingAnalyzer(mini_accel, method="banana")
 
 
@@ -157,7 +159,7 @@ class TestCascadeAdjacency:
 
     def test_adjacency_matches_reference_rule(self):
         nl, place = self._placed()
-        sta = StaticTimingAnalyzer(nl, method="vectorized")
+        sta = StaticTimingAnalyzer(nl)
         got = sta.cascade_adjacent(place)
         col = place.device.site_col("DSP")
         expect = []
@@ -170,7 +172,7 @@ class TestCascadeAdjacency:
 
     def test_site_col_fetched_once_per_analysis(self, monkeypatch):
         nl, place = self._placed()
-        sta = StaticTimingAnalyzer(nl, method="vectorized")
+        sta = StaticTimingAnalyzer(nl)
         calls = {"n": 0}
         orig = type(place.device).site_col
 
@@ -187,7 +189,7 @@ class TestCascadeAdjacency:
     def test_adjacent_cascade_is_cheaper(self):
         nl, place = self._placed()
         rep = StaticTimingAnalyzer(nl).analyze(place, period_ns=10.0)
-        ref = StaticTimingAnalyzer(nl, method="reference").analyze(place, period_ns=10.0)
+        ref = ReferenceSTA(nl).analyze(place, period_ns=10.0)
         assert rep.wns_ns == pytest.approx(ref.wns_ns, abs=1e-9)
 
 
@@ -214,10 +216,12 @@ class TestCyclicBacktraceRegression:
         place.xy[:] = [(0.0, 0.0), (0.0, 1.0), (800.0, 440.0), (801.0, 440.0)]
         return nl, place
 
-    @pytest.mark.parametrize("method", ["reference", "vectorized"])
-    def test_analyze_and_path_of_terminate(self, method):
+    @pytest.mark.parametrize(
+        "sta_cls", [ReferenceSTA, StaticTimingAnalyzer], ids=["reference", "vectorized"]
+    )
+    def test_analyze_and_path_of_terminate(self, sta_cls):
         nl, place = self._cyclic_case()
-        sta = StaticTimingAnalyzer(nl, method=method)
+        sta = sta_cls(nl)
         assert sta.has_comb_cycles
         rep = sta.analyze(place, with_slacks=True)
         assert len(rep.critical_path) <= len(nl.cells)
@@ -228,6 +232,6 @@ class TestCyclicBacktraceRegression:
 
     def test_cycle_actually_forms(self):
         nl, place = self._cyclic_case()
-        rep = StaticTimingAnalyzer(nl, method="reference").analyze(place)
+        rep = ReferenceSTA(nl).analyze(place)
         a, b = 1, 2
         assert rep._best_pred[a] == b and rep._best_pred[b] == a
