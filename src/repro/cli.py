@@ -6,7 +6,6 @@ python -m repro place    --suite skrskr1 --scale 0.1 --tool dsplacer
 python -m repro place    --suite skynet --scale 0.05 --race-k 3 --json
 python -m repro report   --suite skynet --scale 0.1 --tool vivado --paths 5
 python -m repro serve submit --suite skynet --suite skynet --scale 0.05 --workers 2
-python -m repro bench -- --baseline BENCH_hotpaths.json --update
 python -m repro experiment table1
 ```
 
@@ -404,15 +403,6 @@ def _serve_submit(args) -> int:
     return 1 if n_failed else 0
 
 
-def _bench(args) -> int:
-    from repro.obs.bench import _main as bench_main
-
-    rest = list(args.rest)
-    if rest and rest[0] == "--":
-        rest = rest[1:]
-    return bench_main(rest)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -458,12 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write each job's schema-valid RunReport JSON into DIR",
     )
     ss.set_defaults(func=_serve_submit)
-
-    b = sub.add_parser(
-        "bench", help="hot-path benchmark gate (passthrough to repro.obs.bench)"
-    )
-    b.add_argument("rest", nargs=argparse.REMAINDER)
-    b.set_defaults(func=_bench)
 
     e = sub.add_parser("experiment", help="run a named experiment")
     e.add_argument("which", choices=("table1", "table2", "fig7", "fig8", "fig9"))

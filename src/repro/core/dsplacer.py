@@ -40,9 +40,11 @@ from typing import get_type_hints
 
 import numpy as np
 
+from repro.clock.skew import SKEW_MODEL_NAMES
 from repro.core.extraction.dsp_graph import build_dsp_graph, prune_control_dsps
 from repro.core.extraction.iddfs import iddfs_dsp_paths
 from repro.core.extraction.identification import (
+    METHODS,
     DatapathIdentifier,
     IdentificationResult,
 )
@@ -66,6 +68,9 @@ from repro.placers.amf_like import AMFLikePlacer
 from repro.placers.placement import Placement
 from repro.placers.vivado_like import VivadoLikePlacer
 from repro.robustness import RunHealth, SolverGuard, maybe_fault
+
+#: ``DSPlacerConfig.base_placer`` → the prototype placer it runs
+BASE_PLACERS = {"vivado": VivadoLikePlacer, "amf": AMFLikePlacer}
 
 
 @dataclass(frozen=True)
@@ -131,11 +136,17 @@ class DSPlacerConfig:
     stage_budget_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.assignment_engine not in ("auto", *ENGINE_FALLBACK_ORDER):
-            raise ConfigurationError(
-                f"unknown assignment_engine {self.assignment_engine!r}; choose from "
-                + ", ".join(("auto", *ENGINE_FALLBACK_ORDER))
-            )
+        for knob, choices in (
+            ("identification", METHODS),
+            ("base_placer", tuple(BASE_PLACERS)),
+            ("assignment_engine", ("auto", *ENGINE_FALLBACK_ORDER)),
+            ("skew_model", SKEW_MODEL_NAMES),
+        ):
+            value = getattr(self, knob)
+            if value not in choices:
+                raise ConfigurationError(
+                    f"unknown {knob} {value!r}; choose from " + ", ".join(choices)
+                )
 
     # -- serialization --------------------------------------------------
     def to_dict(self) -> dict:
@@ -307,11 +318,8 @@ class DSPlacer:
         return get_skew_model(self.config.skew_model, self.device)
 
     def _base_placer(self):
-        if self.config.base_placer == "vivado":
-            return VivadoLikePlacer(seed=self.config.seed, device=self.device)
-        if self.config.base_placer == "amf":
-            return AMFLikePlacer(seed=self.config.seed, device=self.device)
-        raise ConfigurationError(f"unknown base placer {self.config.base_placer!r}")
+        placer = BASE_PLACERS[self.config.base_placer]
+        return placer(seed=self.config.seed, device=self.device)
 
     def as_placer(self):
         """This engine behind the unified :class:`~repro.placers.api.Placer`

@@ -29,8 +29,6 @@ SECTIONS = {
     "freq_sweep": ("Extension — WNS vs clock sweep", "§V-C protocol"),
     "seed_robustness": ("Robustness — seed sensitivity", "—"),
     "router_models": ("Infrastructure — router model agreement", "—"),
-    "bench_hotpaths": ("Infrastructure — hot-path timings", "—"),
-    "bench_serve": ("Infrastructure — serve throughput", "—"),
 }
 
 

@@ -74,7 +74,7 @@ class NetlistCSR:
         sink_net: Owning net index per ``sink_flat`` entry.
         sink_indptr: CSR-style per-net offsets into ``sink_flat``.
         pin_cell: All net pins (driver first, then sinks) concatenated in
-            net order — the flattened pin list HPWL and the B2B net model
+            net order — the flattened pin list HPWL and refinement
             operate on.
         pin_ptr: CSR-style per-net offsets into ``pin_cell``.
         pin_net: Owning net index per ``pin_cell`` entry.

@@ -31,7 +31,6 @@ from repro.netlist.csr import CELL_TYPE_CODES, get_csr
 from repro.netlist.graph import connectivity_matrix
 from repro.netlist.netlist import Netlist
 from repro.obs import metrics, trace
-from repro.placers.b2b import b2b_adjacency
 from repro.placers.placement import Placement
 
 #: Approximate site area demand per cell kind, in CLB-cell units.
@@ -328,13 +327,6 @@ class GlobalPlaceConfig:
     #: (AMF-Placer's VCU108 heritage): spread targets overshoot the fabric
     #: and legalization has to drag everything back in.
     fabric_scale: float = 1.0
-    #: Wirelength model: "clique" (fixed connectivity Laplacian, built
-    #: once) or "b2b" (Bound2Bound — rebuilt from current positions before
-    #: every solve; the first solve bootstraps from the clique model since
-    #: all movable cells start collapsed at the fabric centre).
-    net_model: str = "clique"
-    #: B2B pin-distance clamp (µm) — collapsed pins keep finite springs.
-    b2b_eps: float = 1.0
     seed: int = 0
 
 
@@ -343,8 +335,6 @@ class QuadraticGlobalPlacer:
 
     def __init__(self, config: GlobalPlaceConfig | None = None) -> None:
         self.config = config or GlobalPlaceConfig()
-        if self.config.net_model not in ("clique", "b2b"):
-            raise ValueError(f"unknown net_model {self.config.net_model!r}")
 
     # ------------------------------------------------------------------
     def place(
@@ -379,7 +369,6 @@ class QuadraticGlobalPlacer:
         place_span: trace.Span,
     ) -> Placement:
         cfg = self.config
-        n = len(netlist.cells)
         ctx = get_csr(netlist)
         place = placement.copy() if placement is not None else Placement(netlist, device)
         # a fresh mask: fixed cells can never move, and the caller's array
@@ -406,11 +395,6 @@ class QuadraticGlobalPlacer:
         start = place.xy[mov]
         rhs_fixed = w_mf @ xy_f + SOLVE_EPS * start
 
-        def _count(iters: int, unconverged: int) -> None:
-            metrics.inc("global_place.cg_iterations", iters)
-            if unconverged:
-                metrics.inc("global_place.cg_unconverged", unconverged)
-
         # one chain structure for every clique solve of this call: their
         # systems differ only in the anchor weight on the diagonal
         elim = ChainElimination(lap_mm + sp.diags(np.full(mov.size, SOLVE_EPS)))
@@ -421,73 +405,21 @@ class QuadraticGlobalPlacer:
             sol, iters, unconverged = elim.solve(
                 rhs, start, cfg.cg_rtol, cfg.cg_maxiter, shift=alpha
             )
-            _count(iters, unconverged)
+            metrics.inc("global_place.cg_iterations", iters)
+            if unconverged:
+                metrics.inc("global_place.cg_unconverged", unconverged)
             return sol, iters
 
-        use_b2b = cfg.net_model == "b2b"
-        if use_b2b:
-            if cfg.use_net_weights:
-                net_w = np.fromiter(
-                    (net.weight for net in netlist.nets),
-                    dtype=np.float64,
-                    count=len(netlist.nets),
-                )
-            else:
-                net_w = np.ones(len(netlist.nets), dtype=np.float64)
-
-        def _solve_b2b(
-            alpha: float, target: np.ndarray, xy_cur: np.ndarray
-        ) -> tuple[np.ndarray, int]:
-            sols = []
-            iters = 0
-            for axis in (0, 1):
-                adj = b2b_adjacency(
-                    ctx.pin_cell,
-                    ctx.pin_ptr,
-                    ctx.pin_net,
-                    xy_cur[:, axis],
-                    net_w,
-                    n,
-                    eps=cfg.b2b_eps,
-                )
-                deg = np.asarray(adj.sum(axis=1)).ravel()
-                lap_ax = sp.diags(deg) - adj
-                a = lap_ax[mov][:, mov].tocsr() + sp.diags(
-                    np.full(mov.size, alpha + SOLVE_EPS)
-                )
-                x0 = xy_cur[mov, axis]
-                rhs = (
-                    adj[mov][:, fix].tocsr() @ xy_f[:, axis]
-                    + alpha * target[:, axis]
-                    + SOLVE_EPS * x0
-                )
-                sol, it, converged = jacobi_pcg(
-                    a, rhs, x0, inverse_diagonal(a), cfg.cg_rtol, cfg.cg_maxiter
-                )
-                _count(it, int(not converged))
-                sols.append(sol)
-                iters += it
-            return np.column_stack(sols), iters
-
-        # bootstrap solve: always the clique model (B2B has no gradients while
-        # every movable cell still sits collapsed at the fabric centre)
-        with trace.span("global_place.solve", net_model="clique", bootstrap=True) as span:
+        with trace.span("global_place.solve", bootstrap=True) as span:
             pos, iters = _solve(0.0, None)
             span.set(iterations=iters)
         pos += rng.normal(scale=1.0, size=pos.shape)
         alpha = cfg.anchor_weight
         for _ in range(cfg.n_iterations):
             spread = self._spread(pos, areas, device)
-            if use_b2b:
-                xy_cur = place.xy.copy()
-                xy_cur[mov] = pos
-                with trace.span("global_place.solve", net_model="b2b") as span:
-                    pos, iters = _solve_b2b(alpha, spread, xy_cur)
-                    span.set(iterations=iters)
-            else:
-                with trace.span("global_place.solve", net_model="clique") as span:
-                    pos, iters = _solve(alpha, spread)
-                    span.set(iterations=iters)
+            with trace.span("global_place.solve") as span:
+                pos, iters = _solve(alpha, spread)
+                span.set(iterations=iters)
             alpha *= cfg.anchor_growth
         pos = self._spread(pos, areas, device)
         place.xy[mov] = pos

@@ -19,7 +19,6 @@ from tests.oracles.netlist import connectivity_matrix_loop
 from tests.oracles.placers import (
     ReferenceLegalizer,
     ReferenceSpreadPlacer,
-    b2b_adjacency_reference,
     refine_sites_reference,
 )
 from tests.oracles.router import ReferencePatternRouter, candidate_paths
@@ -32,7 +31,6 @@ __all__ = [
     "ReferencePatternRouter",
     "ReferenceSTA",
     "ReferenceSpreadPlacer",
-    "b2b_adjacency_reference",
     "candidate_paths",
     "connectivity_matrix_loop",
     "extract_node_features_reference",

@@ -127,10 +127,16 @@ class TestConfigFile:
 
     def test_unknown_assignment_engine_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"assignment_engine": "auction"}))
-        rc = main(PLACE_SMALL + ["--config", str(cfg)])
-        assert rc == 2
-        assert "ConfigurationError" in capsys.readouterr().err
+        for knob, value in [
+            ("assignment_engine", "auction"),
+            ("identification", "banana"),
+            ("base_placer", "banana"),
+            ("skew_model", "banana"),
+        ]:
+            cfg.write_text(json.dumps({knob: value}))
+            rc = main(PLACE_SMALL + ["--config", str(cfg)])
+            assert rc == 2, knob
+            assert f"ConfigurationError: unknown {knob}" in capsys.readouterr().err
 
     def test_missing_config_file_exits_2(self, capsys):
         rc = main(PLACE_SMALL + ["--config", "/nonexistent/cfg.json"])
@@ -197,11 +203,16 @@ class TestPlaceRacing:
 
 
 class TestBenchSubcommand:
-    def test_bench_passthrough_help(self, capsys):
+    """The wall-time gate behind ``bench`` is gone; perfbench is the benchmark."""
+
+    def test_bench_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--", "--help"])
-        assert exc.value.code == 0
-        assert "--update" in capsys.readouterr().out
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: repro")
+        assert "invalid choice: 'bench'" in err
 
 
 class TestFlatFlagShim:

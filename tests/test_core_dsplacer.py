@@ -95,23 +95,31 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="trained"):
             DSPlacer(small_dev, DSPlacerConfig(identification="gcn"))
 
-    @pytest.mark.parametrize("engine", ["banana", "auction"])
-    def test_unknown_assignment_engine_rejected(self, engine):
-        """A misspelled or retired engine fails when the config is built —
-        directly, from a dict, or as a serve request — not by rolling the
-        first outer iteration back to the prototype."""
-        with pytest.raises(ConfigurationError, match="assignment_engine"):
-            DSPlacerConfig(assignment_engine=engine)
-        with pytest.raises(ConfigurationError, match="assignment_engine"):
-            DSPlacerConfig.from_dict({"assignment_engine": engine})
-        request = PlacementRequest(suite="ismartdnn", config={"assignment_engine": engine})
-        with pytest.raises(ConfigurationError, match="assignment_engine"):
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            pytest.param("assignment_engine", "banana", id="banana"),
+            pytest.param("assignment_engine", "auction", id="auction"),
+            pytest.param("identification", "banana", id="identification-banana"),
+            pytest.param("base_placer", "banana", id="base_placer-banana"),
+            pytest.param("skew_model", "banana", id="skew_model-banana"),
+        ],
+    )
+    def test_unknown_assignment_engine_rejected(self, knob, value):
+        """A misspelled or retired engine, identifier, base placer or skew
+        model fails when the config is built — directly, from a dict, or as
+        a serve request — not inside ``place()`` or a serve worker."""
+        with pytest.raises(ConfigurationError, match=knob):
+            DSPlacerConfig(**{knob: value})
+        with pytest.raises(ConfigurationError, match=knob):
+            DSPlacerConfig.from_dict({knob: value})
+        request = PlacementRequest(suite="ismartdnn", config={knob: value})
+        with pytest.raises(ConfigurationError, match=knob):
             request.resolved_config()
 
-    def test_bad_base_placer(self, small_dev, mini_accel):
-        placer = DSPlacer(small_dev, DSPlacerConfig(identification="oracle", base_placer="quartus"))
-        with pytest.raises(ValueError, match="base placer"):
-            placer.place(mini_accel)
+    def test_bad_base_placer(self):
+        with pytest.raises(ConfigurationError, match="base_placer 'quartus'"):
+            DSPlacerConfig(identification="oracle", base_placer="quartus")
 
     def test_amf_base_placer(self, small_dev, mini_accel):
         placer = DSPlacer(

@@ -18,11 +18,9 @@ import repro.core.extraction.features as features_mod
 import repro.core.extraction.iddfs as iddfs_mod
 import repro.netlist.graph as graph_mod
 import repro.placers.analytical as analytical_mod
-import repro.placers.b2b as b2b_mod
 import repro.placers.detailed as detailed_mod
 import repro.solvers.mcf as mcf_mod
 from repro.core.extraction import extract_node_features, iddfs_dsp_paths
-from repro.netlist.csr import get_csr
 from repro.placers import Legalizer, Placement, QuadraticGlobalPlacer, refine_sites
 from repro.router.pattern_router import PatternRouter
 from repro.solvers import min_cost_assignment
@@ -32,7 +30,6 @@ from tests.oracles import (
     ReferencePatternRouter,
     ReferenceSpreadPlacer,
     ReferenceSTA,
-    b2b_adjacency_reference,
     connectivity_matrix_loop,
     extract_node_features_reference,
     hungarian,
@@ -44,12 +41,6 @@ from tests.oracles import (
 
 class ProductKernelReached(Exception):
     """Raised by a patched-out product kernel."""
-
-
-def _b2b_args(p: Placement):
-    ctx = get_csr(p.netlist)
-    weights = np.ones(len(p.netlist.nets))
-    return ctx.pin_cell, ctx.pin_ptr, ctx.pin_net, p.xy[:, 0], weights, len(p.netlist.cells)
 
 
 def _spread_args(p: Placement):
@@ -94,12 +85,6 @@ CASES = [
         [(analytical_mod, "_equalize_grouped")],
         lambda p: QuadraticGlobalPlacer()._spread(*_spread_args(p)),
         lambda p: ReferenceSpreadPlacer()._spread(*_spread_args(p)),
-    ),
-    OracleCase(
-        "b2b",
-        [(b2b_mod, "_b2b_edges_vectorized")],
-        lambda p: b2b_mod.b2b_adjacency(*_b2b_args(p)),
-        lambda p: b2b_adjacency_reference(*_b2b_args(p)),
     ),
     OracleCase(
         "router",

@@ -135,10 +135,17 @@ def _observed_place(netlist, device, cfg):
     return place, ob
 
 
+class TestGlobalPlaceConfig:
+    @pytest.mark.parametrize("knob", ["net_model", "b2b_eps", "b2b_method"])
+    def test_deleted_knob_rejected(self, knob):
+        """The clique model is the only net model: B2B's knobs are gone."""
+        with pytest.raises(TypeError, match=knob):
+            GlobalPlaceConfig(**{knob: 1.0})
+
+
 class TestCGCounters:
-    @pytest.mark.parametrize("net_model", ["clique", "b2b"])
-    def test_iterations_deterministic_and_converged(self, mini_accel, small_dev, net_model):
-        cfg = GlobalPlaceConfig(n_iterations=2, net_model=net_model)
+    def test_iterations_deterministic_and_converged(self, mini_accel, small_dev):
+        cfg = GlobalPlaceConfig(n_iterations=2)
         _, first = _observed_place(mini_accel, small_dev, cfg)
         _, second = _observed_place(mini_accel, small_dev, cfg)
         counters = first.metrics.counters
