@@ -1,0 +1,101 @@
+"""Placement panel: fingerprints of the default flow's placements on a fixed
+case list, and a comparison of two such runs.
+
+The cases are the five suites at scale 0.05 with netlist seeds 0 and 1,
+skrskr2@0.25 with seeds 0-3 and skrskr3@0.3 with seeds 1-3, each placed
+once cold by ``DSPlacer(fabric_device("zcu104", scale), DSPlacerConfig())``.
+Each case writes one JSON line: the SHA-256 of the ``placement.site`` and
+``placement.xy`` bytes, the HPWL, and legality. A change meant to keep
+placements identical must compare equal on every case::
+
+    PYTHONPATH=src python benchmarks/quality_panel.py --out parent.jsonl
+    PYTHONPATH=src python benchmarks/quality_panel.py --out change.jsonl
+    python benchmarks/quality_panel.py --compare parent.jsonl change.jsonl
+
+``--compare`` prints one line per case and exits 1 if any case differs or
+is missing from either run. The 17 placements take about a minute on a
+2-vCPU VM.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+
+SUITES = ("ismartdnn", "skynet", "skrskr1", "skrskr2", "skrskr3")
+#: (suite, scale, netlist seed)
+CASES = (
+    [(suite, 0.05, seed) for suite in SUITES for seed in (0, 1)]
+    + [("skrskr2", 0.25, seed) for seed in range(4)]
+    + [("skrskr3", 0.3, seed) for seed in (1, 2, 3)]
+)
+#: the fields two runs must agree on
+COMPARED = ("site_sha256", "xy_sha256", "hpwl_um", "legal")
+
+
+def place_case(suite: str, scale: float, seed: int) -> dict:
+    """One cold default placement and its fingerprint."""
+    from repro.accelgen import generate_suite
+    from repro.core import DSPlacer, DSPlacerConfig
+    from repro.fpga import fabric_device
+
+    device = fabric_device("zcu104", scale)
+    netlist = generate_suite(suite, scale=scale, device=device, seed=seed)
+    placement = DSPlacer(device, DSPlacerConfig()).place(netlist).placement
+    return {
+        "case": f"{suite}@{scale:g}/seed{seed}",
+        "site_sha256": hashlib.sha256(placement.site.tobytes()).hexdigest(),
+        "xy_sha256": hashlib.sha256(placement.xy.tobytes()).hexdigest(),
+        "hpwl_um": float(placement.hpwl()),
+        "legal": bool(placement.is_legal()),
+    }
+
+
+def load_rows(path: str) -> dict[str, dict]:
+    with open(path) as fh:
+        rows = [json.loads(line) for line in fh if line.strip()]
+    return {row["case"]: row for row in rows}
+
+
+def compare(path_a: str, path_b: str) -> int:
+    """Print per-case equality of two runs; 0 if every case is equal."""
+    a, b = load_rows(path_a), load_rows(path_b)
+    n_equal = 0
+    for case in sorted(a.keys() | b.keys()):
+        if case not in a or case not in b:
+            print(f"{case}: missing from {path_a if case not in a else path_b}")
+            continue
+        diff = [k for k in COMPARED if a[case].get(k) != b[case].get(k)]
+        if diff:
+            print(f"{case}: DIFFERENT ({', '.join(diff)})")
+        else:
+            n_equal += 1
+            print(f"{case}: equal")
+    total = len(a.keys() | b.keys())
+    print(f"{n_equal} of {total} cases equal")
+    return 0 if n_equal == total else 1
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--out", help="write the JSON lines here (default: stdout)")
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                      help="compare two panel runs instead of placing")
+    args = ap.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    out = open(args.out, "w") if args.out else sys.stdout
+    try:
+        for case in CASES:
+            print(json.dumps(place_case(*case)), file=out, flush=True)
+    finally:
+        if args.out:
+            out.close()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

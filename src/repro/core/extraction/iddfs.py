@@ -32,8 +32,10 @@ from repro.netlist.csr import get_csr
 from repro.netlist.netlist import Netlist
 from repro.obs import metrics, trace
 
-#: sources per BFS block; bounds the dense (block, n_cells) work arrays
-_BLOCK = 256
+#: entries per dense (block, n_cells) work array. The BFS source block is
+#: ``_WORK // n_cells`` sources, so the three arrays take 16 MiB whatever the
+#: netlist's size; blocks are independent, so the paths do not depend on it.
+_WORK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -65,8 +67,8 @@ def iddfs_dsp_paths(
         minimum storage count over the shortest paths — sorted by (src, dst).
     """
     with trace.span("extraction.iddfs", max_depth=max_depth) as sp:
-        out = _bfs_impl(netlist, max_depth, max_fanout, sources)
-        sp.set(n_paths=len(out))
+        out, block = _bfs_impl(netlist, max_depth, max_fanout, sources)
+        sp.set(n_paths=len(out), block=block)
     metrics.inc("extraction.iddfs.paths", len(out))
     return out
 
@@ -76,7 +78,7 @@ def _bfs_impl(
     max_depth: int,
     max_fanout: int,
     sources: list[int] | None,
-) -> list[DSPPath]:
+) -> tuple[list[DSPPath], int]:
     ctx = get_csr(netlist)
     n = ctx.n
     adj = ctx.fanout_filtered(max_fanout)
@@ -87,7 +89,7 @@ def _bfs_impl(
     )
     out: list[DSPPath] = []
     if n == 0 or srcs.size == 0:
-        return out
+        return out, 0
     dsp_cols = ctx.dsp_indices
     unreached = np.int32(n + 1)  # storage sentinel > any possible count
 
@@ -95,13 +97,13 @@ def _bfs_impl(
     # block, so they are allocated once and only the keys a block actually
     # touched are reset afterwards — per-block work stays proportional to
     # the reached set, not to block·n
-    s_max = min(_BLOCK, srcs.size)
+    s_max = max(1, min(srcs.size, _WORK // n))
     dflat = np.full(s_max * n, -1, dtype=np.int32)
     sflat = np.full(s_max * n, unreached, dtype=np.int32)
     tag = np.empty(s_max * n, dtype=np.int64)  # scatter-based dedup scratch
 
-    for start in range(0, srcs.size, _BLOCK):
-        block = srcs[start : start + _BLOCK]
+    for start in range(0, srcs.size, s_max):
+        block = srcs[start : start + s_max]
         s = block.size
         rows = np.arange(s)
         # frontier as flat (block-row * n, node) pairs
@@ -154,4 +156,4 @@ def _bfs_impl(
             dflat[keys] = -1
             sflat[keys] = unreached
     out.sort(key=lambda p: (p.src, p.dst))
-    return out
+    return out, s_max

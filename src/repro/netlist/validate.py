@@ -3,7 +3,8 @@
 :func:`netlist_problems` collects *every* violation (unlike
 :meth:`Netlist.validate`, which raises on the first structural breakage), and
 — when a device is given — cross-checks the netlist against the target:
-enough DSP sites, no cascade macro longer than the tallest DSP column.
+enough DSP and BRAM sites and CLB slots, no cascade macro longer than the
+tallest DSP column.
 
 :func:`validate_netlist` raises a single
 :class:`~repro.errors.NetlistValidationError` listing everything found, so a
@@ -71,13 +72,28 @@ def netlist_problems(netlist: Netlist, device=None) -> list[str]:
             seen_members.add(idx)
 
     if device is not None:
-        n_dsp = sum(1 for c in netlist.cells if c.ctype.is_dsp)
-        if n_dsp > device.n_dsp:
-            problems.append(
-                f"netlist has {n_dsp} DSPs but device {device.name!r} only "
-                f"{device.n_dsp} DSP sites — use a larger device or shrink "
-                "the design (lower --scale)"
-            )
+        # the cells the legalizer must find room for: every DSP and BRAM,
+        # and the CLB-kind cells not pinned by fixed_xy; counted per
+        # CellType, as a per-cell site_kind lookup costs several times the walk
+        per_type = Counter(c.ctype for c in netlist.cells)
+        per_type.subtract(
+            c.ctype for c in netlist.cells if c.is_fixed and c.ctype.site_kind == "CLB"
+        )
+        need: Counter[str] = Counter()
+        for ctype, k in per_type.items():
+            need[ctype.site_kind] += k
+        for kind, cells, room, unit in (
+            ("DSP", "DSPs", device.n_dsp, "DSP sites"),
+            ("BRAM", "BRAMs", device.n_sites("BRAM"), "BRAM sites"),
+            ("CLB", "movable LUT/FF/CARRY/LUTRAM cells",
+             device.n_sites("CLB") * device.clb_capacity, "CLB slots"),
+        ):
+            if need[kind] > room:
+                problems.append(
+                    f"netlist has {need[kind]} {cells} but device "
+                    f"{device.name!r} only {room} {unit} — use a larger "
+                    "device or shrink the design (lower --scale)"
+                )
         cols = device.kind_columns("DSP")
         tallest = max((c.n_sites for c in cols), default=0)
         for macro in netlist.macros:

@@ -15,16 +15,20 @@ block those sites — this is what lets DSPlacer freeze its datapath DSPs
 while the rest of the design is re-legalized around them (paper Fig. 6).
 
 The nearest-site queries for all single DSP/BRAM cells are batched into
-one distance matrix and the CLB rows are scanned with plain-list slot
-checks; the per-cell loop oracle ``tests/oracles/placers.py`` produces
-identical site assignments — the greedy order, tie-breaking, and
-escalation sequences are replicated exactly.
+one distance matrix. The CLB fill gives every cell its home site in one
+vectorized pass and runs the sequential spiral only on the cells homed at
+contested sites (the *conflict set*, a few percent of the cells), skipping
+full rows through per-column pointers. The per-cell loop oracle
+``tests/oracles/placers.py`` produces identical site assignments — the
+greedy order, tie-breaking, and escalation sequences are replicated
+exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import LegalizationError
 from repro.fpga.device import Device
 from repro.netlist.csr import SITE_KIND_CODES, get_csr
 from repro.obs import metrics, trace
@@ -66,7 +70,7 @@ class Legalizer:
             locked = [i for i in macro.dsps if placement.site[i] >= 0]
             if locked:
                 if len(locked) != len(macro.dsps):
-                    raise ValueError(
+                    raise LegalizationError(
                         f"macro {macro.macro_id} is partially locked; cascade "
                         "chains must be frozen or released as a whole"
                     )
@@ -134,7 +138,7 @@ class Legalizer:
                 if best is None or cost < best[0]:
                     best = (cost, c, start)
         if best is None:
-            raise ValueError(f"no room for a {length}-long DSP cascade macro")
+            raise LegalizationError(f"no room for a {length}-long DSP cascade macro")
         _, c, start = best
         ids = col_ids[c]
         for k, cell_idx in enumerate(chain):
@@ -181,7 +185,7 @@ class Legalizer:
                     break
                 col = (col + 1) % n_cols
             if not placed:
-                raise ValueError(
+                raise LegalizationError(
                     f"device cannot fit a {length}-long DSP cascade macro even densely packed"
                 )
 
@@ -250,7 +254,7 @@ class Legalizer:
                 if not occupied[sid]:
                     return int(sid)
             if k >= n:
-                raise ValueError(f"no free {kind} site left")
+                raise LegalizationError(f"no free {kind} site left")
             skip = k
             k = min(n, k * 4)
 
@@ -264,13 +268,12 @@ class Legalizer:
         col_start = np.cumsum([0] + [c.n_sites for c in cols])
 
         clb = np.flatnonzero((ctx.site_code == SITE_KIND_CODES.index("CLB")) & ~ctx.is_fixed)
-        todo_arr, held = _release(placement, clb, movable_mask)
+        todo, held = _release(placement, clb, movable_mask)
         load = np.bincount(held, minlength=dev.n_sites("CLB"))
-        todo = todo_arr.tolist()
         if sum(c.n_sites for c in cols) * cap < load.sum() + len(todo):
-            raise ValueError("design does not fit the device's CLB capacity")
+            raise LegalizationError("design does not fit the device's CLB capacity")
 
-        xys = placement.xy[todo] if todo else np.zeros((0, 2))
+        xys = placement.xy[todo]
         # nearest column and row per cell, vectorized
         ci = np.searchsorted(col_x, xys[:, 0])
         ci = np.clip(ci, 0, len(cols) - 1)
@@ -283,67 +286,136 @@ class Legalizer:
     def _fill_clb_batched(
         self, placement, todo, xys, ci, cols, col_start, load, cap
     ) -> None:
-        """Batched CLB fill: each cell takes the nearest row with spare
-        capacity, spiralling out column by column from its home column.
+        """CLB fill: each cell, in ascending order, takes the nearest row
+        with spare capacity, spiralling out column by column from its home
+        site (nearest column, ``searchsorted`` row).
 
-        The capacity fill is inherently sequential (each placement consumes
-        a slot the next cell can no longer take), so the batching happens
-        around it: the home-column row targets are computed with one
-        ``searchsorted`` per column, the fill itself runs on plain Python
-        lists (constant-time slot checks, no per-cell array dispatch), and
-        the resulting sites are written back to the placement in one gather.
+        Only contested sites need that sequential spiral. With *demand(s)*
+        = held load + cells homed at s, every site with demand > cap starts
+        *dirty*, widened within its column to the smallest symmetric window
+        whose total slack (cap − demand) is non-negative. The spiral runs,
+        from the held loads, on the cells homed at dirty sites only (the
+        conflict set); a clean site t whose demand plus the a(t) spills it
+        received exceeds cap turns dirty, and the round repeats. At the
+        fixed point every other cell takes its home site. If some column's
+        demand exceeds its capacity, cells spill across columns and the
+        spiral runs over all cells.
+
+        Why this equals the spiral over all cells: at the fixed point a
+        clean site t takes at most demand(t) + a(t) <= cap cells in both
+        runs, so it has room whenever a cell probes it. Its own cells
+        therefore never spill, and every spill that probes it stops there in
+        both runs. Dirty sites see the same cells in the same order, so each
+        conflict cell meets the same loads and stops at the same site.
         """
-        n_cols = len(cols)
+        n_sites = int(col_start[-1])
         r0s = np.empty(len(todo), dtype=np.int64)
-        for c in np.unique(ci):
-            m = ci == c
-            ys = cols[c].ys
+        by_col = np.argsort(ci, kind="stable")
+        bounds = np.searchsorted(ci[by_col], np.arange(len(cols) + 1))
+        for c, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            m, ys = by_col[a:b], cols[c].ys
             r0s[m] = np.clip(np.searchsorted(ys, xys[m, 1]), 0, len(ys) - 1)
-        load_l = load.tolist()
-        col_ys = [col.ys for col in cols]
-        nrows = [len(ys) for ys in col_ys]
-        bases = [int(b) for b in col_start[:-1]]
-        ci_l = ci.tolist()
-        r0_l = r0s.tolist()
-        y_l = xys[:, 1].tolist()
-        sites = np.empty(len(todo), dtype=np.int64)
-        for pos in range(len(todo)):
-            c0 = ci_l[pos]
-            y = y_l[pos]
-            sid = -1
-            for dc in _spiral():
-                c = c0 + dc
-                if c < 0 or c >= n_cols:
-                    if abs(dc) > n_cols:
-                        raise ValueError("CLB legalization ran out of sites")
-                    continue
-                nr = nrows[c]
-                base = bases[c]
-                if dc == 0:
-                    r0 = r0_l[pos]
-                else:
-                    r0 = int(np.clip(np.searchsorted(col_ys[c], y), 0, nr - 1))
-                found = -1
-                for dr in range(nr):
-                    r = r0 - dr
-                    if r >= 0 and load_l[base + r] < cap:
-                        found = r
-                        break
-                    if dr:
-                        r = r0 + dr
-                        if r < nr and load_l[base + r] < cap:
-                            found = r
-                            break
-                if found >= 0:
-                    sid = base + found
+        home = col_start[ci] + r0s
+        slack = cap - load - np.bincount(home, minlength=n_sites)
+        ps = np.concatenate(([0], np.cumsum(slack)))
+
+        def fill(cells: np.ndarray) -> np.ndarray:
+            metrics.inc("legalize.clb_conflict_cells", cells.size)
+            return _spiral_fill(ci[cells], r0s[cells], xys[cells, 1], load, cap, cols, col_start)
+
+        sites = home.copy()
+        if (ps[col_start[1:]] < ps[col_start[:-1]]).any():
+            sites = fill(np.arange(len(todo)))
+        else:
+            dirty = _widen(slack < 0, ps, col_start)
+            while True:
+                cells = np.flatnonzero(dirty[home])
+                spilled = fill(cells)
+                over = ~dirty & (np.bincount(spilled, minlength=n_sites) > slack)
+                if not over.any():
                     break
+                dirty |= over
+            sites[cells] = spilled
+        placement.site[todo] = sites
+        placement.xy[todo] = self.device.site_xy("CLB")[sites]
+
+
+def _spiral_fill(ci, r0s, ys, load, cap, cols, col_start) -> np.ndarray:
+    """Sites of the given cells, placed in turn from the ``load`` per site:
+    each probes rows r0, r0 − 1, r0 + 1, ... of its home column ``ci``,
+    then of columns ci − 1, ci + 1, ... (row nearest its y there), and takes
+    the first row below ``cap``.
+
+    Per-column skip pointers jump over full rows: ``up[c][r]`` leads to the
+    lowest free row >= r (``n_rows`` if none) and ``dn[c][r + 1]`` to the
+    highest free row <= r, plus one (0 if none).
+    """
+    full = load >= cap
+    up, dn = [], []
+    for lo, hi in zip(col_start[:-1], col_start[1:]):
+        u, d = np.arange(hi - lo + 1), np.arange(hi - lo + 1)
+        u[:-1][full[lo:hi]] += 1
+        d[1:][full[lo:hi]] -= 1
+        up.append(u.tolist())
+        dn.append(d.tolist())
+    load_l = load.tolist()
+    bases = col_start[:-1].tolist()
+    n_cols = len(cols)
+    sites = []
+    for c0, r0, y in zip(ci.tolist(), r0s.tolist(), ys.tolist()):
+        for dc in _spiral():
+            c = c0 + dc
+            if c < 0 or c >= n_cols:
+                if abs(dc) > n_cols:
+                    raise LegalizationError("CLB legalization ran out of sites")
+                continue
+            nr = len(up[c]) - 1
+            if dc:
+                r0 = int(np.clip(np.searchsorted(cols[c].ys, y), 0, nr - 1))
+            above = _root(up[c], r0)
+            below = _root(dn[c], r0 + 1) - 1
+            if below >= 0 and (above == nr or r0 - below <= above - r0):
+                r = below
+            elif above < nr:
+                r = above
+            else:
+                continue
+            sid = bases[c] + r
             load_l[sid] += 1
-            sites[pos] = sid
-        load[:] = load_l
-        if todo:
-            idx_arr = np.asarray(todo, dtype=np.int64)
-            placement.site[idx_arr] = sites
-            placement.xy[idx_arr] = self.device.site_xy("CLB")[sites]
+            if load_l[sid] >= cap:
+                up[c][r], dn[c][r + 1] = r + 1, r
+            sites.append(sid)
+            break
+    return np.asarray(sites, dtype=np.int64)
+
+
+def _root(ptr: list[int], i: int) -> int:
+    """Follow skip pointers from ``i`` to a free row, compressing the path."""
+    r = i
+    while ptr[r] != r:
+        r = ptr[r]
+    while ptr[i] != r:
+        ptr[i], i = r, ptr[i]
+    return r
+
+
+def _widen(dirty: np.ndarray, ps: np.ndarray, col_start: np.ndarray) -> np.ndarray:
+    """Grow each dirty site to the smallest window [s − w, s + w] of its
+    column (clipped at the column ends) whose total slack is non-negative;
+    ``ps`` is the slack's prefix sum. Returns the sites the windows cover."""
+    sid = np.flatnonzero(dirty)
+    col = np.searchsorted(col_start, sid, side="right") - 1
+    lo_c, hi_c = col_start[col], col_start[col + 1]
+    cover = np.zeros(ps.size, dtype=np.int64)
+    w = 0
+    while sid.size:
+        lo, hi = np.maximum(sid - w, lo_c), np.minimum(sid + w + 1, hi_c)
+        ok = ps[hi] >= ps[lo]
+        np.add.at(cover, lo[ok], 1)
+        np.add.at(cover, hi[ok], -1)
+        sid, lo_c, hi_c = sid[~ok], lo_c[~ok], hi_c[~ok]
+        w += 1
+    return np.cumsum(cover[:-1]) > 0
 
 
 def _release(

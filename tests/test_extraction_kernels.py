@@ -7,9 +7,12 @@ Every compiled/batched kernel must agree with its pure-Python reference:
 - the feature kernels vs the networkx oracle (exact branch),
 - SCC feedback flags vs ``nx.strongly_connected_components``,
 - batched BFS DSP paths vs the pure-Python IDDFS oracle under jittered
-  ``max_fanout`` / ``max_depth``,
+  ``max_fanout`` / ``max_depth`` and split source blocks, and the BFS work
+  arrays held to their fixed budget,
 - the sampled-closeness pivot fix (regression for the off-by-one bias).
 """
+
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -18,10 +21,13 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.extraction.iddfs as iddfs_mod
+from repro import obs
 from repro.core.extraction import FeatureConfig, betweenness_csr, extract_node_features
 from repro.core.extraction.features import _sampled_closeness
 from repro.core.extraction.iddfs import iddfs_dsp_paths
 from repro.netlist import CellType, Netlist
+from repro.netlist.csr import get_csr
 from tests.oracles import extract_node_features_reference, iddfs_dsp_paths_reference
 
 
@@ -254,3 +260,56 @@ class TestIDDFSKernelEquivalence:
         nl.add_net("n", a, [b])
         with pytest.raises(TypeError, match="method"):
             iddfs_dsp_paths(nl, method="dfs")
+
+
+def _random_fanout_netlist(n: int, dsp_every: int = 64, fanout: int = 3) -> Netlist:
+    """``n`` cells, a DSP every ``dsp_every``, each cell driving one net to
+    ``fanout`` random sinks."""
+    rng = np.random.default_rng(0)
+    nl = Netlist("fanout")
+    kinds = (CellType.LUT, CellType.FF, CellType.CARRY)
+    for i in range(n):
+        nl.add_cell(f"c{i}", CellType.DSP if i % dsp_every == 0 else kinds[i % 3])
+    for i, row in enumerate(rng.integers(0, n, size=(n, fanout)).tolist()):
+        sinks = sorted(set(row) - {i})
+        if sinks:
+            nl.add_net(f"n{i}", i, sinks)
+    return nl
+
+
+class TestIDDFSWorkBudget:
+    """The BFS source block is sized from ``_WORK``, so its dense
+    ``(block, n_cells)`` work arrays (``dflat``/``sflat`` int32, ``tag``
+    int64: 16 B an entry) stay at the budget on any netlist."""
+
+    def test_peak_memory_within_budget(self):
+        nl = _random_fanout_netlist(20_000)
+        assert len(nl.dsp_indices()) > 256
+        get_csr(nl).fanout_filtered(16)  # the cached adjacency is not the kernel's
+        budget = 16 * iddfs_mod._WORK
+        tracemalloc.start()
+        try:
+            paths = iddfs_dsp_paths(nl)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert paths
+        # 256 sources per block took 256 × 20 000 × 16 B = 82 MB here
+        assert peak < budget * 1.5, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_split_blocks_match_reference(self, mini_accel, monkeypatch):
+        n = len(mini_accel.cells)
+        monkeypatch.setattr(iddfs_mod, "_WORK", 3 * n)
+        with obs.observe() as ob:
+            paths = iddfs_dsp_paths(mini_accel)
+        (span,) = ob.tracer.find("extraction.iddfs")
+        assert span.attrs["block"] == 3 < len(mini_accel.dsp_indices())
+        assert paths == iddfs_dsp_paths_reference(mini_accel)
+
+    def test_block_is_at_least_one_source(self, monkeypatch):
+        nl = _random_fanout_netlist(200, dsp_every=10)
+        monkeypatch.setattr(iddfs_mod, "_WORK", 1)
+        with obs.observe() as ob:
+            paths = iddfs_dsp_paths(nl)
+        assert ob.tracer.find("extraction.iddfs")[0].attrs["block"] == 1
+        assert paths == iddfs_dsp_paths_reference(nl)

@@ -5,12 +5,21 @@ row fill; all assignment decisions (greedy order, spiral search, row
 tie-breaks, escalation) must match the per-cell loop oracle
 (``tests.oracles.ReferenceLegalizer``) site-for-site.
 The saturation tests cover the escalating ``_nearest_free`` suffix scan and
-the dense-packing fallback for near-full cascade loads.
+the dense-packing fallback for near-full cascade loads. The conflict-set
+tests drive each branch of the CLB fill (conflict set, second fixed-point
+round, all-cells spiral), told apart by the ``legalize.clb_conflict_cells``
+counter.
 """
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import obs
+from repro.fpga import fabric_device, small_device
 from repro.netlist import CellType, Netlist
 from repro.placers import (
     GlobalPlaceConfig,
@@ -176,3 +185,109 @@ class TestDensePacking:
             assert (sites >= 0).all()
             assert len(set(col[sites].tolist())) == 1
             assert (np.diff(sites) == 1).all()
+
+
+@lru_cache(maxsize=None)
+def _device(fabric: str):
+    return small_device() if fabric == "small" else fabric_device(fabric, 0.05)
+
+
+def _at(dev, col: int, row: int) -> tuple[float, float]:
+    """The centre of CLB site (column, row): a cell targeted there is homed
+    on it."""
+    c = dev.kind_columns("CLB")[col]
+    return float(c.x), float(c.ys[row])
+
+
+def _clb_fill(legalizer_cls, dev, targets, held_sites=()):
+    """Legalize movable LUTs at ``targets`` around locked LUTs on
+    ``held_sites``; the placement and the conflict-cell count."""
+    n_mov = len(targets)
+    nl = Netlist("clb")
+    for i in range(n_mov + len(held_sites)):
+        nl.add_cell(f"l{i}", CellType.LUT)
+    place = Placement(nl, dev)
+    place.xy[:n_mov] = np.asarray(targets, dtype=float).reshape(-1, 2)
+    for k, sid in enumerate(held_sites):
+        place.assign_site(n_mov + k, int(sid))
+    movable = np.arange(len(nl.cells)) < n_mov
+    with obs.observe() as ob:
+        legalizer_cls(dev).legalize_clb(place, movable)
+    return place, ob.metrics.counters.get("legalize.clb_conflict_cells", 0)
+
+
+def _same_as_reference(dev, targets, held_sites=()) -> int:
+    """Assert the product fill equals the oracle's site for site; returns
+    how many cells the product's spiral placed."""
+    p_ref, _ = _clb_fill(ReferenceLegalizer, dev, targets, held_sites)
+    p_vec, spiralled = _clb_fill(Legalizer, dev, targets, held_sites)
+    np.testing.assert_array_equal(p_vec.site, p_ref.site)
+    np.testing.assert_array_equal(p_vec.xy, p_ref.xy)
+    assert p_vec.is_legal()
+    return spiralled
+
+
+def _shuffled(cells, seed=0):
+    """Interleave crowd and background cells in index order."""
+    order = np.random.default_rng(seed).permutation(len(cells))
+    return [cells[i] for i in order]
+
+
+class TestConflictSetFill:
+    """Crowded home sites go through the spiral, every other cell keeps its
+    home site, and the result equals the all-cells spiral of the oracle."""
+
+    def test_crowds_at_column_ends(self, small_dev):
+        last = small_dev.kind_columns("CLB")[0].n_sites - 1
+        crowd = (
+            [_at(small_dev, 0, 0)] * 40
+            + [_at(small_dev, 0, last)] * 40
+            + [_at(small_dev, 4, 10)] * 30
+        )
+        background = [_at(small_dev, c, r) for c in (2, 6) for r in range(20)]
+        spiralled = _same_as_reference(small_dev, _shuffled(crowd + background))
+        assert spiralled == len(crowd)  # one round; background stays home
+
+    def test_held_load_around_crowd(self, small_dev):
+        """Locked cells fill row 1 and most of row 2: spills from row 0 must
+        skip them."""
+        held = [1] * 16 + [2] * 10  # column 0's rows are sites 0, 1, ...
+        crowd = [_at(small_dev, 0, 0)] * 30 + [_at(small_dev, 0, 3)] * 20
+        background = [_at(small_dev, 3, r) for r in range(24)]
+        spiralled = _same_as_reference(small_dev, _shuffled(crowd + background), held)
+        assert spiralled == len(crowd)
+
+    def test_over_full_column_takes_all_cells_path(self, small_dev):
+        col_cap = small_dev.kind_columns("CLB")[1].n_sites * small_dev.clb_capacity
+        crowd = [_at(small_dev, 1, 5)] * (col_cap + 10)
+        background = [_at(small_dev, 5, r) for r in range(20)]
+        targets = _shuffled(crowd + background)
+        assert _same_as_reference(small_dev, targets) == len(targets)
+
+    def test_second_fixed_point_round(self, small_dev):
+        """Rows 3 and 5 overflow by 10 each; their widened windows (rows
+        2-4, 4-6) each hold the excess, but together they are 4 slots
+        short. The escapes reach rows 1 and 7, homes of 15 cells each,
+        which overflow and join the second round."""
+        demand = {1: 15, 2: 16, 3: 26, 5: 26, 6: 16, 7: 15}
+        targets = _shuffled([_at(small_dev, 0, r) for r, k in demand.items() for _ in range(k)])
+        # one round spirals at most every cell once
+        assert _same_as_reference(small_dev, targets) > len(targets)
+
+    @pytest.mark.parametrize("fabric", ["small", "zcu104"])
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 600),
+        n_spots=st.integers(1, 4),
+        spread=st.sampled_from([0.0, 5.0, 40.0, 1000.0]),
+        n_held=st.integers(0, 60),
+    )
+    def test_random_targets(self, fabric, seed, n, n_spots, spread, n_held):
+        dev = _device(fabric)
+        rng = np.random.default_rng(seed)
+        size = np.array([dev.width, dev.height])
+        spots = rng.uniform(0.0, size, (n_spots, 2))
+        targets = spots[rng.integers(n_spots, size=n)] + rng.normal(0.0, spread, (n, 2))
+        held = rng.integers(dev.n_sites("CLB"), size=n_held)
+        _same_as_reference(dev, np.clip(targets, 0.0, size), held)

@@ -14,6 +14,8 @@ from repro.netlist import (
     netlist_to_json,
     validate_netlist,
 )
+from repro.placers.api import PlacementRequest
+from repro.serve import PlacementServer
 
 
 def _base_netlist():
@@ -23,6 +25,33 @@ def _base_netlist():
     nl.add_net("seed", pad, [dsps[0]])
     nl.add_net("c0", dsps[0], [dsps[1]])
     return nl, dsps
+
+
+def _lut_chain(device, extra: int = 1) -> Netlist:
+    """A LUT chain ``extra`` cells longer than the device's CLB capacity."""
+    nl = Netlist("lut_chain")
+    n = device.n_sites("CLB") * device.clb_capacity + extra
+    luts = [nl.add_cell(f"l{i}", CellType.LUT) for i in range(n)]
+    for i in range(n - 1):
+        nl.add_net(f"n{i}", luts[i], [luts[i + 1]])
+    return nl
+
+
+def _bram_fanout(device) -> Netlist:
+    """One DSP feeding two more BRAMs than the device has BRAM sites."""
+    nl = Netlist("bram_fanout")
+    dsp = nl.add_cell("d", CellType.DSP)
+    brams = [
+        nl.add_cell(f"b{i}", CellType.BRAM) for i in range(device.n_sites("BRAM") + 2)
+    ]
+    nl.add_net("out", dsp, brams)
+    return nl
+
+
+OVERSIZED = [
+    pytest.param(_lut_chain, id="clb"),
+    pytest.param(_bram_fanout, id="bram"),
+]
 
 
 class TestNetlistProblems:
@@ -49,6 +78,19 @@ class TestNetlistProblems:
         nl.add_net("seed", pad, [dsps[0]])
         problems = netlist_problems(nl, small_dev)
         assert any("DSP sites" in p and "--scale" in p for p in problems)
+
+    def test_clb_overflow_vs_device(self, small_dev):
+        problems = netlist_problems(_lut_chain(small_dev), small_dev)
+        assert any("CLB" in p and "--scale" in p for p in problems)
+
+    def test_bram_overflow_vs_device(self, small_dev):
+        problems = netlist_problems(_bram_fanout(small_dev), small_dev)
+        assert any("BRAM sites" in p and "--scale" in p for p in problems)
+
+    def test_fixed_luts_do_not_count_against_clb_sites(self, small_dev):
+        nl = _lut_chain(small_dev)
+        nl.cells[-1].fixed_xy = (1.0, 1.0)  # the legalizer leaves it alone
+        assert netlist_problems(nl, small_dev) == []
 
     def test_macro_longer_than_any_column(self, small_dev):
         tallest = max(c.n_sites for c in small_dev.kind_columns("DSP"))
@@ -113,3 +155,28 @@ class TestPlacerIntegration:
         assert res.placement.is_legal()
         assert res.health.n_warnings >= 1
         assert any(e.stage == "validation" for e in res.health.events)
+
+
+class TestOversizedNetlists:
+    """A netlist too big for the fabric's CLBs or BRAMs fails with a typed
+    error in every mode, never a bare ``ValueError`` from the legalizer."""
+
+    @pytest.mark.parametrize("build", OVERSIZED)
+    def test_strict_rejects_before_placing(self, build, small_dev):
+        placer = DSPlacer(small_dev, DSPlacerConfig(strict=True))
+        with pytest.raises(NetlistValidationError, match="--scale"):
+            placer.place(build(small_dev))
+
+    @pytest.mark.parametrize("build", OVERSIZED)
+    def test_permissive_raises_typed_error(self, build, small_dev):
+        with pytest.raises(ReproError):
+            DSPlacer(small_dev, DSPlacerConfig()).place(build(small_dev))
+
+    def test_serve_reports_typed_error(self, small_dev):
+        request = PlacementRequest(scale=0.02, config={"outer_iterations": 1})
+        with PlacementServer(workers=1) as server:
+            job = server.submit(request, netlist=_bram_fanout(small_dev), device=small_dev)
+            resp = job.result(timeout=120)
+        assert resp.status == "failed"
+        assert resp.error["type"] == "LegalizationError"
+        assert "no free BRAM site left" in resp.error["message"]

@@ -1,0 +1,45 @@
+"""``benchmarks/quality_panel.py --compare``: per-case equality of two panel
+runs, exit status 1 on any difference."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+PANEL = Path(__file__).resolve().parent.parent / "benchmarks" / "quality_panel.py"
+
+ROW = {"site_sha256": "aa", "xy_sha256": "bb", "hpwl_um": 1.5, "legal": True}
+
+
+def _write(path: Path, rows: dict[str, dict]) -> str:
+    path.write_text("".join(json.dumps({"case": c, **r}) + "\n" for c, r in rows.items()))
+    return str(path)
+
+
+def _compare(tmp_path, a: dict, b: dict) -> subprocess.CompletedProcess:
+    args = [_write(tmp_path / "a.jsonl", a), _write(tmp_path / "b.jsonl", b)]
+    return subprocess.run(
+        [sys.executable, str(PANEL), "--compare", *args],
+        capture_output=True, text=True, check=False,
+    )
+
+
+def test_identical_runs_compare_equal(tmp_path):
+    rows = {"x@0.05/seed0": ROW, "y@0.05/seed1": ROW}
+    out = _compare(tmp_path, rows, rows)
+    assert out.returncode == 0, out.stdout
+    assert "2 of 2 cases equal" in out.stdout
+
+
+def test_any_field_difference_fails(tmp_path):
+    for field, value in (("xy_sha256", "cc"), ("hpwl_um", 1.25), ("legal", False)):
+        out = _compare(tmp_path, {"x": ROW}, {"x": {**ROW, field: value}})
+        assert out.returncode == 1
+        assert f"x: DIFFERENT ({field})" in out.stdout
+
+
+def test_missing_case_fails(tmp_path):
+    out = _compare(tmp_path, {"x": ROW, "y": ROW}, {"x": ROW})
+    assert out.returncode == 1
+    assert "y: missing from" in out.stdout
+    assert "1 of 2 cases equal" in out.stdout

@@ -213,15 +213,20 @@ class TestInjectorUnit:
 
 
 class TestNoBareRaises:
-    """Acceptance: zero bare ValueError/RuntimeError raises in solvers/ and
-    core/placement/ — everything goes through the typed taxonomy."""
+    """Acceptance: zero bare ValueError/RuntimeError raises in solvers/,
+    core/placement/ and the prototype's legalizer — everything goes through
+    the typed taxonomy."""
 
     def test_sources_are_fully_typed(self):
         src = Path(__file__).resolve().parent.parent / "src" / "repro"
         offenders = []
-        for sub in ("solvers", "core/placement"):
-            for path in sorted((src / sub).rglob("*.py")):
-                text = path.read_text()
-                for m in re.finditer(r"raise (ValueError|RuntimeError)\b", text):
-                    offenders.append(f"{path.name}: {m.group(0)}")
+        paths = [
+            *sorted((src / "solvers").rglob("*.py")),
+            *sorted((src / "core/placement").rglob("*.py")),
+            src / "placers/legalizer.py",
+        ]
+        for path in paths:
+            text = path.read_text()
+            for m in re.finditer(r"raise (ValueError|RuntimeError)\b", text):
+                offenders.append(f"{path.name}: {m.group(0)}")
         assert not offenders, offenders

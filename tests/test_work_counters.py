@@ -42,6 +42,7 @@ CASES = [
         "isotonic.blocks": 8,
         "isotonic.columns": 2,
         "legalization.ilp_used": 2,
+        "legalize.clb_conflict_cells": 708,
         "legalize.passes": 3,
         "mcf.arcs": 5760,
         "mcf.lapjvsp_solves": 8,
@@ -62,6 +63,7 @@ CASES = [
         "isotonic.blocks": 8,
         "isotonic.columns": 2,
         "legalization.ilp_used": 2,
+        "legalize.clb_conflict_cells": 2275,
         "legalize.passes": 3,
         "mcf.arcs": 7200,
         "mcf.lapjvsp_solves": 10,
@@ -80,6 +82,7 @@ CASES = [
         "isotonic.blocks": 100,
         "isotonic.columns": 10,
         "legalization.ilp_used": 2,
+        "legalize.clb_conflict_cells": 7810,
         "legalize.passes": 3,
         "refine.accepted_moves": 142,
     }, id="skrskr2@0.25-zcu104"),
