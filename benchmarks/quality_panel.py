@@ -3,18 +3,21 @@ case list, and a comparison of two such runs.
 
 The cases are the five suites at scale 0.05 with netlist seeds 0 and 1,
 skrskr2@0.25 with seeds 0-3 and skrskr3@0.3 with seeds 1-3, each placed
-once cold by ``DSPlacer(fabric_device("zcu104", scale), DSPlacerConfig())``.
-Each case writes one JSON line: the SHA-256 of the ``placement.site`` and
-``placement.xy`` bytes, the HPWL, and legality. A change meant to keep
-placements identical must compare equal on every case::
+once cold by ``DSPlacer(fabric_device("zcu104", scale), DSPlacerConfig())``
+and signed off as perfbench signs off: ``GlobalRouter``, then STA with the
+config's skew model, then ``max_frequency``. Each case writes one JSON line:
+the SHA-256 of the ``placement.site`` and ``placement.xy`` bytes, the HPWL,
+legality, fmax, WNS and TNS at the netlist's target clock, and the SHA-256
+of the endpoint slacks. A change meant to keep placements and timing
+identical must compare equal on every case::
 
     PYTHONPATH=src python benchmarks/quality_panel.py --out parent.jsonl
     PYTHONPATH=src python benchmarks/quality_panel.py --out change.jsonl
     python benchmarks/quality_panel.py --compare parent.jsonl change.jsonl
 
 ``--compare`` prints one line per case and exits 1 if any case differs or
-is missing from either run. The 17 placements take about a minute on a
-2-vCPU VM.
+is missing from either run. The 17 cases take about a minute on a 2-vCPU
+VM.
 """
 
 from __future__ import annotations
@@ -32,24 +35,39 @@ CASES = (
     + [("skrskr3", 0.3, seed) for seed in (1, 2, 3)]
 )
 #: the fields two runs must agree on
-COMPARED = ("site_sha256", "xy_sha256", "hpwl_um", "legal")
+COMPARED = (
+    "site_sha256", "xy_sha256", "hpwl_um", "legal",
+    "fmax_mhz", "wns_ns", "tns_ns", "slack_sha256",
+)
 
 
 def place_case(suite: str, scale: float, seed: int) -> dict:
-    """One cold default placement and its fingerprint."""
+    """One cold default placement, its sign-off, and their fingerprint."""
     from repro.accelgen import generate_suite
+    from repro.clock import get_skew_model
     from repro.core import DSPlacer, DSPlacerConfig
     from repro.fpga import fabric_device
+    from repro.router import GlobalRouter
+    from repro.timing import StaticTimingAnalyzer, max_frequency
 
     device = fabric_device("zcu104", scale)
     netlist = generate_suite(suite, scale=scale, device=device, seed=seed)
-    placement = DSPlacer(device, DSPlacerConfig()).place(netlist).placement
+    config = DSPlacerConfig()
+    placement = DSPlacer(device, config).place(netlist).placement
+    route = GlobalRouter().route(placement)
+    sta = StaticTimingAnalyzer(netlist, skew_model=get_skew_model(config.skew_model, device))
+    fmax = max_frequency(sta, placement, route)
+    report = sta.analyze(placement, route)
     return {
         "case": f"{suite}@{scale:g}/seed{seed}",
         "site_sha256": hashlib.sha256(placement.site.tobytes()).hexdigest(),
         "xy_sha256": hashlib.sha256(placement.xy.tobytes()).hexdigest(),
         "hpwl_um": float(placement.hpwl()),
         "legal": bool(placement.is_legal()),
+        "fmax_mhz": fmax,
+        "wns_ns": report.wns_ns,
+        "tns_ns": report.tns_ns,
+        "slack_sha256": hashlib.sha256(report.endpoint_slack.tobytes()).hexdigest(),
     }
 
 

@@ -13,6 +13,7 @@ import networkx as nx
 import numpy as np
 
 from repro.core.extraction.iddfs import DSPPath, iddfs_dsp_paths
+from repro.netlist.csr import get_csr
 from repro.netlist.netlist import Netlist
 from repro.obs import trace
 
@@ -53,7 +54,7 @@ def build_dsp_graph(
         paths = iddfs_dsp_paths(netlist, max_depth=max_depth, max_fanout=max_fanout)
     with trace.span("extraction.dsp_graph", n_paths=len(paths)) as sp:
         g = nx.DiGraph()
-        for idx in netlist.dsp_indices():
+        for idx in get_csr(netlist).dsp_indices.tolist():
             g.add_node(idx, name=netlist.cells[idx].name)
         for p in _dedupe_paths(paths):
             g.add_edge(p.src, p.dst, dist=p.dist, n_storage=p.n_storage, weight=1.0 / p.dist)

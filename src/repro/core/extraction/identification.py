@@ -163,7 +163,7 @@ class DatapathIdentifier:
     def _predict_impl(
         self, netlist: Netlist, sample: GraphSample | None = None
     ) -> IdentificationResult:
-        dsps = netlist.dsp_indices()
+        dsps = get_csr(netlist).dsp_indices.tolist()
         if self.method == "oracle":
             flags = {i: bool(netlist.cells[i].is_datapath) for i in dsps}
             return IdentificationResult(flags=flags, method="oracle", accuracy=1.0)

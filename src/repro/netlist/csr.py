@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro.netlist.cell import CellType
+from repro.netlist.cell import Cell, CellType
 from repro.netlist.netlist import Netlist
 
 
@@ -131,6 +131,15 @@ class NetlistCSR:
         return adj
 
 
+def cell_codes(cells: list[Cell]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell ``ctype_code`` and ``is_fixed`` arrays of a cell list."""
+    n = len(cells)
+    return (
+        np.fromiter((_CTYPE_CODE[c.ctype] for c in cells), dtype=np.int8, count=n),
+        np.fromiter((c.is_fixed for c in cells), dtype=bool, count=n),
+    )
+
+
 def build_csr(netlist: Netlist) -> NetlistCSR:
     """Build a fresh context; prefer :func:`get_csr` for the cached one."""
     n = len(netlist.cells)
@@ -163,11 +172,8 @@ def build_csr(netlist: Netlist) -> NetlistCSR:
     undirected = (directed + directed.T).tocsr()
     undirected.data[:] = 1.0
 
-    ctype_code = np.fromiter(
-        (_CTYPE_CODE[c.ctype] for c in netlist.cells), dtype=np.int8, count=n
-    )
+    ctype_code, is_fixed = cell_codes(netlist.cells)
     is_dsp = ctype_code == _CTYPE_CODE[CellType.DSP]
-    is_fixed = np.fromiter((c.is_fixed for c in netlist.cells), dtype=bool, count=n)
     return NetlistCSR(
         n=n,
         version=getattr(netlist, "_version", 0),

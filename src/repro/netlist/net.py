@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -31,8 +32,8 @@ class Net:
             raise ValueError(f"net {self.name!r} drives itself")
         if len(set(self.sinks)) != len(self.sinks):
             raise ValueError(f"net {self.name!r} has duplicate sinks")
-        if self.weight <= 0:
-            raise ValueError(f"net {self.name!r} has non-positive weight")
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise ValueError(f"net {self.name!r} weight {self.weight!r} is not finite and positive")
 
     @property
     def cells(self) -> tuple[int, ...]:

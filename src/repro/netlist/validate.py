@@ -15,27 +15,48 @@ in permissive mode.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
+from itertools import chain
+from operator import attrgetter
+
+import numpy as np
 
 from repro.errors import NetlistValidationError
+from repro.netlist.cell import CellType
+from repro.netlist.csr import _CTYPE_CODE, _SITE_CODE_OF, SITE_KIND_CODES, cell_codes, get_csr
 from repro.netlist.netlist import Netlist
 
 __all__ = ["netlist_problems", "validate_netlist"]
 
 
 def netlist_problems(netlist: Netlist, device=None) -> list[str]:
-    """Every validation problem, each with a suggested fix. Empty ⇔ clean."""
-    problems: list[str] = []
-    n_cells = len(netlist.cells)
+    """Every validation problem, each with a suggested fix. Empty ⇔ clean.
 
-    dupes = [n for n, c in Counter(c.name for c in netlist.cells).items() if c > 1]
+    The checks run on arrays; a message is formatted only for an offender.
+    """
+    problems: list[str] = []
+    cells, nets, macros = netlist.cells, netlist.nets, netlist.macros
+    n_cells = len(cells)
+
+    names = list(map(attrgetter("name"), cells))
+    dupes = [n for n, c in Counter(names).items() if c > 1] if len(set(names)) < n_cells else []
     for name in dupes:
         problems.append(
             f"duplicate cell name {name!r}: rename one instance — cell names "
             "must be unique"
         )
 
-    for net in netlist.nets:
+    # pins come from the nets: build_csr raises on a dangling index, so the
+    # range check runs before any get_csr
+    driver, sinks, weight = (list(map(attrgetter(f), nets)) for f in ("driver", "sinks", "weight"))
+    nsinks = np.fromiter(map(len, sinks), dtype=np.int64, count=len(nets))
+    pins = np.array(driver + list(chain.from_iterable(sinks)), dtype=np.int64)
+    pin_net = np.r_[np.arange(len(nets)), np.repeat(np.arange(len(nets)), nsinks)]
+    dangles = np.isin(np.arange(len(nets)), pin_net[(pins < 0) | (pins >= n_cells)])
+    w = np.array(weight, dtype=np.float64)
+    for k in np.flatnonzero(dangles | (nsinks == 0) | ~(np.isfinite(w) & (w > 0))).tolist():
+        net = nets[k]
         bad = [i for i in net.cells if not 0 <= i < n_cells]
         if bad:
             problems.append(
@@ -48,41 +69,49 @@ def netlist_problems(netlist: Netlist, device=None) -> list[str]:
                 f"net {net.name!r} has a driver but no sinks — remove it or "
                 "connect a load"
             )
+        if not (math.isfinite(net.weight) and net.weight > 0):
+            problems.append(
+                f"net {net.name!r} has weight {net.weight!r} — net weights must "
+                "be finite and positive; reset it to 1.0"
+            )
+    ctx = None if dangles.any() else get_csr(netlist)
+    code, fixed = cell_codes(cells) if ctx is None else (ctx.ctype_code, ctx.is_fixed)
 
-    seen_members: set[int] = set()
-    for macro in netlist.macros:
-        for idx in macro.dsps:
-            if not 0 <= idx < n_cells:
-                problems.append(
-                    f"macro {macro.macro_id} references missing cell index {idx}"
-                )
-                continue
-            cell = netlist.cells[idx]
-            if not cell.ctype.is_dsp:
-                problems.append(
-                    f"macro {macro.macro_id} member {cell.name!r} is a "
-                    f"{cell.ctype.value}, not a DSP — cascade macros may only "
-                    "contain DSP cells"
-                )
-            if idx in seen_members:
-                problems.append(
-                    f"DSP index {idx} appears in two cascade macros — a DSP "
-                    "can join at most one chain"
-                )
-            seen_members.add(idx)
+    chains = list(map(attrgetter("dsps"), macros))
+    flat = list(chain.from_iterable(chains))
+    sizes = np.fromiter(map(len, chains), dtype=np.int64, count=len(chains))
+    members = np.array(flat, dtype=np.int64)
+    ok = (members >= 0) & (members < n_cells)
+    not_dsp = ok.copy()
+    not_dsp[ok] = code[members[ok]] != _CTYPE_CODE[CellType.DSP]
+    repeat = ok.copy()  # in range, and seen in range before
+    repeat[np.flatnonzero(ok)[np.unique(members[ok], return_index=True)[1]]] = False
+    owner = np.repeat(np.arange(len(chains)), sizes)
+    for k in np.flatnonzero(~ok | not_dsp | repeat).tolist():
+        macro, idx = macros[owner[k]], flat[k]
+        if not ok[k]:
+            problems.append(f"macro {macro.macro_id} references missing cell index {idx}")
+            continue
+        if not_dsp[k]:
+            problems.append(
+                f"macro {macro.macro_id} member {cells[idx].name!r} is a "
+                f"{cells[idx].ctype.value}, not a DSP — cascade macros may only "
+                "contain DSP cells"
+            )
+        if repeat[k]:
+            problems.append(
+                f"DSP index {idx} appears in two cascade macros — a DSP "
+                "can join at most one chain"
+            )
 
     if device is not None:
         # the cells the legalizer must find room for: every DSP and BRAM,
-        # and the CLB-kind cells not pinned by fixed_xy; counted per
-        # CellType, as a per-cell site_kind lookup costs several times the walk
-        per_type = Counter(c.ctype for c in netlist.cells)
-        per_type.subtract(
-            c.ctype for c in netlist.cells if c.is_fixed and c.ctype.site_kind == "CLB"
-        )
-        need: Counter[str] = Counter()
-        for ctype, k in per_type.items():
-            need[ctype.site_kind] += k
-        for kind, cells, room, unit in (
+        # and the CLB-kind cells not pinned by fixed_xy
+        site = _SITE_CODE_OF[code]
+        counted = site[~fixed | (site != SITE_KIND_CODES.index("CLB"))]
+        need = np.bincount(counted, minlength=len(SITE_KIND_CODES)).tolist()
+        need = dict(zip(SITE_KIND_CODES, need))
+        for kind, what, room, unit in (
             ("DSP", "DSPs", device.n_dsp, "DSP sites"),
             ("BRAM", "BRAMs", device.n_sites("BRAM"), "BRAM sites"),
             ("CLB", "movable LUT/FF/CARRY/LUTRAM cells",
@@ -90,19 +119,18 @@ def netlist_problems(netlist: Netlist, device=None) -> list[str]:
         ):
             if need[kind] > room:
                 problems.append(
-                    f"netlist has {need[kind]} {cells} but device "
+                    f"netlist has {need[kind]} {what} but device "
                     f"{device.name!r} only {room} {unit} — use a larger "
                     "device or shrink the design (lower --scale)"
                 )
         cols = device.kind_columns("DSP")
         tallest = max((c.n_sites for c in cols), default=0)
-        for macro in netlist.macros:
-            if len(macro.dsps) > tallest:
-                problems.append(
-                    f"cascade macro {macro.macro_id} chains {len(macro.dsps)} "
-                    f"DSPs but the tallest DSP column on {device.name!r} has "
-                    f"{tallest} sites — split the chain or use a taller device"
-                )
+        for k in np.flatnonzero(sizes > tallest).tolist():
+            problems.append(
+                f"cascade macro {macros[k].macro_id} chains {sizes[k]} "
+                f"DSPs but the tallest DSP column on {device.name!r} has "
+                f"{tallest} sites — split the chain or use a taller device"
+            )
     return problems
 
 

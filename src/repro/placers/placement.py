@@ -22,11 +22,11 @@ class Placement:
         self.netlist = netlist
         self.device = device
         n = len(netlist.cells)
-        self.xy = np.zeros((n, 2), dtype=np.float64)
+        self.xy = np.full((n, 2), (device.width / 2.0, device.height / 2.0), dtype=np.float64)
         self.site = np.full(n, -1, dtype=np.int64)
-        center = (device.width / 2.0, device.height / 2.0)
-        for cell in netlist.cells:
-            self.xy[cell.index] = cell.fixed_xy if cell.is_fixed else center
+        fixed = [c for c in netlist.cells if c.fixed_xy is not None]
+        if fixed:
+            self.xy[[c.index for c in fixed]] = [c.fixed_xy for c in fixed]
 
     def copy(self) -> "Placement":
         new = Placement.__new__(Placement)

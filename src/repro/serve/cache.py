@@ -3,10 +3,12 @@
 The serve layer never trusts a request's *description* of a workload — it
 hashes what it is actually about to place. A cache key is the SHA-256 of:
 
-- the **netlist content hash** — canonical JSON of
-  :func:`~repro.netlist.io.netlist_to_json` (cells, nets, weights, macros),
-  so any two identical netlists collide regardless of how they were
-  produced (generated, loaded, hand-built);
+- the **netlist content hash** (key version 2) — every field
+  :func:`~repro.netlist.io.netlist_to_json` covers, bound to its cell or net
+  position: JSON of the names, kinds, labels and ``attrs``, raw bytes of the
+  index and float arrays, each section length-prefixed. Identical netlists
+  collide however they were produced (generated, loaded, hand-built), and
+  the hash leaves nothing on the netlist;
 - the **device id** — name, dimensions, and a digest of the DSP site
   geometry (two differently-scaled ``zcu104`` builds never collide);
 - the **canonical config hash** —
@@ -27,9 +29,11 @@ import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any
 
-from repro.netlist.io import netlist_to_json
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fpga.device import Device
@@ -43,10 +47,39 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+#: version of the netlist content hash's encoding
+_NETLIST_KEY_VERSION = 2
+#: per-cell JSON fields (``ctype._value_`` skips the enum property's cost)
+_CELL_FIELDS = ("name", "ctype._value_", "is_datapath", "attrs")
+
+
 def netlist_content_hash(netlist: "Netlist") -> str:
-    """SHA-256 of the netlist's canonical JSON document."""
-    doc = netlist_to_json(netlist)
-    return _sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    """SHA-256 of every netlist field, in cell and net order (module doc)."""
+    cells, nets = netlist.cells, netlist.nets
+    fixed = [(i, xy) for i, xy in enumerate(map(attrgetter("fixed_xy"), cells)) if xy]
+    sinks = list(map(attrgetter("sinks"), nets))
+    chains = list(map(attrgetter("dsps"), netlist.macros))
+    doc = [_NETLIST_KEY_VERSION, netlist.name, netlist.target_freq_mhz]
+    doc += [list(map(attrgetter(f), cells)) for f in _CELL_FIELDS]
+    doc.append(list(map(attrgetter("name"), nets)))
+    ints = (
+        [i for i, _ in fixed],
+        list(map(attrgetter("driver"), nets)),
+        list(map(len, sinks)),
+        list(chain.from_iterable(sinks)),
+        list(map(len, chains)),
+        list(chain.from_iterable(chains)),
+    )
+    floats = ([xy for _, xy in fixed], list(map(attrgetter("weight"), nets)))
+    h = hashlib.sha256()
+    for data in (
+        json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8"),
+        *(np.array(a, dtype=np.int64).tobytes() for a in ints),
+        *(np.array(a, dtype=np.float64).tobytes() for a in floats),
+    ):
+        h.update(len(data).to_bytes(8, "little"))
+        h.update(data)
+    return h.hexdigest()
 
 
 def device_id(device: "Device") -> str:

@@ -27,11 +27,11 @@ cascade edges there are priced as ordinary fabric nets.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.netlist.csr import CELL_TYPE_CODES, get_csr
 from repro.netlist.netlist import Netlist
 from repro.obs import metrics, trace
 from repro.placers.placement import Placement
@@ -103,91 +103,61 @@ class StaticTimingAnalyzer:
 
             skew_model = RegionSkew(self.dm.clock_skew_per_region)
         self.skew = skew_model
-        self._cascade_pairs = set(netlist.cascade_pairs())
-        self._seq = np.array([self.dm.is_sequential(c.ctype) for c in netlist.cells])
-
-        # edge lists: (src, dst, net_id); plus per-node fanin adjacency
-        self._fanin: list[list[tuple[int, int]]] = [[] for _ in netlist.cells]
-        self._fanout: list[list[tuple[int, int]]] = [[] for _ in netlist.cells]
-        for net in netlist.nets:
-            for s in net.sinks:
-                self._fanin[s].append((net.driver, net.index))
-                self._fanout[net.driver].append((s, net.index))
-
-        # topological order of combinational cells (Kahn over comb preds)
-        n = len(netlist.cells)
-        indeg = np.zeros(n, dtype=np.int64)
-        for u in range(n):
-            if self._seq[u]:
-                continue
-            indeg[u] = sum(1 for (v, _) in self._fanin[u] if not self._seq[v])
-        queue = deque(u for u in range(n) if not self._seq[u] and indeg[u] == 0)
-        order: list[int] = []
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for w, _ in self._fanout[u]:
-                if not self._seq[w]:
-                    indeg[w] -= 1
-                    if indeg[w] == 0:
-                        queue.append(w)
-        n_comb = int((~self._seq).sum())
-        self.has_comb_cycles = len(order) < n_comb
-        n_dag = len(order)
-        if self.has_comb_cycles:
-            # break cycles by appending the leftovers in index order; their
-            # arrivals are then lower bounds (one relaxation round)
-            seen = set(order)
-            order.extend(u for u in range(n) if not self._seq[u] and u not in seen)
-        self._topo = order
-        self._build_arrays(n_dag)
+        self._build_graph()
+        self._build_segments()
 
     # ------------------------------------------------------------------
     # one-time flat-array views of the timing graph
     # ------------------------------------------------------------------
-    def _build_arrays(self, n_dag: int) -> None:
-        nl = self.netlist
-        dm = self.dm
-        n = len(nl.cells)
-        self._prop_arr = np.array([dm.prop.get(c.ctype, 0.0) for c in nl.cells])
-        self._clk2q_arr = np.array([dm.clk_to_q.get(c.ctype, 0.0) for c in nl.cells])
-        self._setup_arr = np.array([dm.setup.get(c.ctype, 0.0) for c in nl.cells])
+    def _build_graph(self) -> None:
+        """Delay, edge, cascade-edge and level arrays, read from ``get_csr``.
 
-        n_sinks = np.array([len(net.sinks) for net in nl.nets], dtype=np.int64)
-        n_edges = int(n_sinks.sum())
-        self._e_src = np.repeat(
-            np.array([net.driver for net in nl.nets], dtype=np.int64), n_sinks
+        Level k holds the combinational cells whose in-degree (one per
+        (net, sink) edge) reaches zero once levels < k are peeled: Kahn's
+        longest-path levels. Cells never peeled (on or behind a comb cycle)
+        each take one level after the deepest, in index order, as the loop
+        oracle's sequential sweep relaxes them (arrivals are lower bounds).
+        """
+        nl, dm = self.netlist, self.dm
+        ctx = get_csr(nl)
+        n, code = ctx.n, ctx.ctype_code
+        self._seq = np.array([dm.is_sequential(t) for t in CELL_TYPE_CODES])[code]
+        self._prop_arr, self._clk2q_arr, self._setup_arr = (
+            np.array([table.get(t, 0.0) for t in CELL_TYPE_CODES])[code]
+            for table in (dm.prop, dm.clk_to_q, dm.setup)
         )
-        self._e_dst = np.fromiter(
-            (s for net in nl.nets for s in net.sinks), dtype=np.int64, count=n_edges
-        )
-        self._e_net = np.repeat(np.arange(len(nl.nets), dtype=np.int64), n_sinks)
+        self._e_src, self._e_dst, self._e_net = ctx.edge_src, ctx.sink_flat, ctx.sink_net
 
         # cascade edges (set C of eq. 5) as a mask over the flat edge list
-        if self._cascade_pairs:
-            keys = self._e_src * n + self._e_dst
-            pair_keys = np.array(
-                [s * n + d for s, d in self._cascade_pairs], dtype=np.int64
-            )
-            self._casc_idx = np.flatnonzero(np.isin(keys, pair_keys))
-        else:
-            self._casc_idx = np.zeros(0, dtype=np.int64)
+        pair_keys = np.array([s * n + d for s, d in nl.cascade_pairs()], dtype=np.int64)
+        self._casc_idx = np.flatnonzero(np.isin(self._e_src * n + self._e_dst, pair_keys))
 
-        # levelization: DAG cells get longest-path levels (all combinational
-        # predecessors strictly earlier); cycle leftovers each get their own
-        # level in topo order, replicating the loop oracle's sequential sweep
+        comb = ~self._seq
+        cc = comb[self._e_src] & comb[self._e_dst]
+        order = np.argsort(self._e_src[cc], kind="stable")
+        dst = self._e_dst[cc][order]  # comb→comb edges grouped by source
+        ptr = np.r_[0, np.cumsum(np.bincount(self._e_src[cc], minlength=n))]
+        indeg = np.bincount(dst, minlength=n)
         level = np.zeros(n, dtype=np.int64)
-        for u in self._topo[:n_dag]:
-            lv = 0
-            for v, _ in self._fanin[u]:
-                if not self._seq[v]:
-                    lv = max(lv, level[v] + 1)
-            level[u] = lv
-        nxt = (max((level[u] for u in self._topo[:n_dag]), default=-1)) + 1
-        for u in self._topo[n_dag:]:
-            level[u] = nxt
-            nxt += 1
+        frontier = np.flatnonzero(comb & (indeg == 0))
+        depth = 0
+        while frontier.size:
+            level[frontier] = depth
+            depth += 1
+            lo, cnt = ptr[frontier], ptr[frontier + 1] - ptr[frontier]
+            out = dst[np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())]
+            hit, k = np.unique(out, return_counts=True)
+            indeg[hit] -= k
+            frontier = hit[indeg[hit] == 0]
+        left = np.flatnonzero(comb & (indeg > 0))
+        level[left] = depth + np.arange(left.size)
+        self.has_comb_cycles = bool(left.size)
         self._level = level
+
+    def _build_segments(self) -> None:
+        n_edges = self._e_dst.size
+        n = self._seq.size
+        level = self._level
 
         def _segment(edge_idx: np.ndarray, by: np.ndarray, slice_key: np.ndarray | None):
             """Stable-sort edges by (slice_key, by, edge order); return

@@ -15,7 +15,7 @@ from tests.oracles.extraction import (
     iddfs_dsp_paths_reference,
     iddfs_single_source,
 )
-from tests.oracles.netlist import connectivity_matrix_loop
+from tests.oracles.netlist import connectivity_matrix_loop, netlist_problems_loop
 from tests.oracles.placers import (
     ReferenceLegalizer,
     ReferenceSpreadPlacer,
@@ -38,5 +38,6 @@ __all__ = [
     "iddfs_dsp_paths_reference",
     "iddfs_single_source",
     "min_cost_assignment_ssp",
+    "netlist_problems_loop",
     "refine_sites_reference",
 ]

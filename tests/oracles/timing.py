@@ -1,6 +1,9 @@
-"""Per-cell loop STA, the oracle for the level-batched analysis."""
+"""Per-cell loop STA, the oracle for the array-built timing graph and the
+level-batched analysis."""
 
 from __future__ import annotations
+
+from collections import deque
 
 import numpy as np
 
@@ -10,7 +13,93 @@ from repro.timing import StaticTimingAnalyzer, TimingReport
 
 
 class ReferenceSTA(StaticTimingAnalyzer):
-    """Same timing graph; the analysis walks it one cell and edge at a time."""
+    """The timing graph built from per-cell lists (Kahn order, then
+    longest-path levels); the analysis walks it one cell and edge at a time."""
+
+    def _build_graph(self) -> None:
+        netlist = self.netlist
+        dm = self.dm
+        self._cascade_pairs = set(netlist.cascade_pairs())
+        # dtype=bool keeps ``~self._seq`` valid on an empty netlist
+        self._seq = np.array(
+            [self.dm.is_sequential(c.ctype) for c in netlist.cells], dtype=bool
+        )
+
+        # edge lists: (src, dst, net_id); plus per-node fanin adjacency
+        self._fanin: list[list[tuple[int, int]]] = [[] for _ in netlist.cells]
+        self._fanout: list[list[tuple[int, int]]] = [[] for _ in netlist.cells]
+        for net in netlist.nets:
+            for s in net.sinks:
+                self._fanin[s].append((net.driver, net.index))
+                self._fanout[net.driver].append((s, net.index))
+
+        # topological order of combinational cells (Kahn over comb preds)
+        n = len(netlist.cells)
+        indeg = np.zeros(n, dtype=np.int64)
+        for u in range(n):
+            if self._seq[u]:
+                continue
+            indeg[u] = sum(1 for (v, _) in self._fanin[u] if not self._seq[v])
+        queue = deque(u for u in range(n) if not self._seq[u] and indeg[u] == 0)
+        order: list[int] = []
+        while queue:
+            u = queue.popleft()
+            order.append(u)
+            for w, _ in self._fanout[u]:
+                if not self._seq[w]:
+                    indeg[w] -= 1
+                    if indeg[w] == 0:
+                        queue.append(w)
+        n_comb = int((~self._seq).sum())
+        self.has_comb_cycles = len(order) < n_comb
+        n_dag = len(order)
+        if self.has_comb_cycles:
+            # break cycles by appending the leftovers in index order; their
+            # arrivals are then lower bounds (one relaxation round)
+            seen = set(order)
+            order.extend(u for u in range(n) if not self._seq[u] and u not in seen)
+        self._topo = order
+
+        nl = netlist
+        self._prop_arr = np.array([dm.prop.get(c.ctype, 0.0) for c in nl.cells])
+        self._clk2q_arr = np.array([dm.clk_to_q.get(c.ctype, 0.0) for c in nl.cells])
+        self._setup_arr = np.array([dm.setup.get(c.ctype, 0.0) for c in nl.cells])
+
+        n_sinks = np.array([len(net.sinks) for net in nl.nets], dtype=np.int64)
+        n_edges = int(n_sinks.sum())
+        self._e_src = np.repeat(
+            np.array([net.driver for net in nl.nets], dtype=np.int64), n_sinks
+        )
+        self._e_dst = np.fromiter(
+            (s for net in nl.nets for s in net.sinks), dtype=np.int64, count=n_edges
+        )
+        self._e_net = np.repeat(np.arange(len(nl.nets), dtype=np.int64), n_sinks)
+
+        # cascade edges (set C of eq. 5) as a mask over the flat edge list
+        if self._cascade_pairs:
+            keys = self._e_src * n + self._e_dst
+            pair_keys = np.array(
+                [s * n + d for s, d in self._cascade_pairs], dtype=np.int64
+            )
+            self._casc_idx = np.flatnonzero(np.isin(keys, pair_keys))
+        else:
+            self._casc_idx = np.zeros(0, dtype=np.int64)
+
+        # levelization: DAG cells get longest-path levels (all combinational
+        # predecessors strictly earlier); cycle leftovers each get their own
+        # level in topo order, replicating the loop oracle's sequential sweep
+        level = np.zeros(n, dtype=np.int64)
+        for u in self._topo[:n_dag]:
+            lv = 0
+            for v, _ in self._fanin[u]:
+                if not self._seq[v]:
+                    lv = max(lv, level[v] + 1)
+            level[u] = lv
+        nxt = (max((level[u] for u in self._topo[:n_dag]), default=-1)) + 1
+        for u in self._topo[n_dag:]:
+            level[u] = nxt
+            nxt += 1
+        self._level = level
 
     def _edge_delay(
         self,

@@ -1,5 +1,7 @@
 """Unit tests for repro.netlist.net."""
 
+import math
+
 import pytest
 
 from repro.netlist.net import Net
@@ -29,3 +31,9 @@ class TestNet:
 
     def test_default_weight(self):
         assert Net(index=0, name="n0", driver=0, sinks=(1,)).weight == 1.0
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_non_finite_or_non_positive_weight_rejected(weight):
+    with pytest.raises(ValueError, match="finite and positive"):
+        Net(index=0, name="n0", driver=1, sinks=(2,), weight=weight)

@@ -1,21 +1,29 @@
-"""Netlist/device validation: actionable diagnostics, permissive downgrade."""
+"""Netlist/device validation: actionable diagnostics, permissive downgrade,
+and exact agreement with the per-item loop oracle on broken netlists."""
 
 import json
+import math
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import DSPlacer, DSPlacerConfig
 from repro.errors import NetlistValidationError, ReproError
 from repro.netlist import (
+    CascadeMacro,
     CellType,
     Netlist,
     load_netlist,
+    netlist_from_json,
     netlist_problems,
     netlist_to_json,
     validate_netlist,
 )
 from repro.placers.api import PlacementRequest
 from repro.serve import PlacementServer
+from tests.oracles import netlist_problems_loop
 
 
 def _base_netlist():
@@ -180,3 +188,142 @@ class TestOversizedNetlists:
         assert resp.status == "failed"
         assert resp.error["type"] == "LegalizationError"
         assert "no free BRAM site left" in resp.error["message"]
+
+
+BAD_WEIGHTS = pytest.mark.parametrize(
+    "weight", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"]
+)
+
+
+class TestBadNetWeights:
+    """A net weight that is not finite and positive is rejected when the net
+    is built and reported when it is reassigned later, on every path."""
+
+    @BAD_WEIGHTS
+    def test_add_net_rejects(self, weight):
+        nl, dsps = _base_netlist()
+        with pytest.raises(ValueError, match="finite and positive"):
+            nl.add_net("w", dsps[1], [dsps[2]], weight=weight)
+
+    @BAD_WEIGHTS
+    def test_load_netlist_rejects(self, weight, tmp_path, mini_accel):
+        doc = netlist_to_json(mini_accel)
+        doc["nets"][0]["weight"] = weight
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))  # NaN/Infinity are valid to json.loads
+        with pytest.raises(NetlistValidationError, match="finite and positive"):
+            load_netlist(p)
+
+    @BAD_WEIGHTS
+    def test_reassigned_weight_reported(self, weight):
+        nl, _ = _base_netlist()
+        nl.nets[1].weight = weight
+        assert netlist_problems(nl) == [
+            f"net 'c0' has weight {weight!r} — net weights must be finite and "
+            "positive; reset it to 1.0"
+        ]
+
+    @BAD_WEIGHTS
+    def test_strict_placer_rejects(self, weight, small_dev, mini_accel):
+        bad = netlist_from_json(netlist_to_json(mini_accel))
+        bad.nets[0].weight = weight
+        placer = DSPlacer(small_dev, DSPlacerConfig(identification="oracle", strict=True))
+        with pytest.raises(NetlistValidationError, match="finite and positive"):
+            placer.place(bad)
+
+    def test_permissive_placer_warns(self, small_dev, mini_accel):
+        """The reproduced case: a NaN weight used to pass unnoticed."""
+        bad = netlist_from_json(netlist_to_json(mini_accel))
+        bad.nets[0].weight = math.nan
+        placer = DSPlacer(
+            small_dev, DSPlacerConfig(identification="oracle", outer_iterations=1)
+        )
+        res = placer.place(bad)
+        assert any(
+            e.stage == "validation" and "finite and positive" in e.detail
+            for e in res.health.events
+        )
+
+
+def _stub_device(n_dsp, n_bram, n_clb, capacity, columns):
+    """The device surface :func:`netlist_problems` reads, with drawn sizes."""
+    sites = {"BRAM": n_bram, "CLB": n_clb}
+    return SimpleNamespace(
+        name="stub",
+        n_dsp=n_dsp,
+        clb_capacity=capacity,
+        n_sites=sites.__getitem__,
+        kind_columns=lambda kind: [SimpleNamespace(n_sites=h) for h in columns],
+    )
+
+
+@st.composite
+def broken_netlist(draw):
+    """A small netlist with drawn faults: dangling drivers and sinks, empty
+    nets, bad weights, duplicate names, bad macros, fixed CLB-kind cells."""
+    kinds = draw(st.lists(st.sampled_from(list(CellType)), max_size=10))
+    nl = Netlist("broken")
+    for i, kind in enumerate(kinds):
+        pinned = kind.is_fixed or (kind.site_kind == "CLB" and draw(st.booleans()))
+        nl.add_cell(f"c{i}", kind, fixed_xy=(1.0, 2.0) if pinned else None)
+    n = len(kinds)
+    cell = st.integers(0, max(n - 1, 0))
+    if n >= 2:
+        for driver, sinks in draw(st.lists(
+            st.tuples(cell, st.lists(cell, min_size=1, max_size=3)), max_size=8
+        )):
+            sinks = [s for s in sinks if s != driver]
+            if sinks:
+                nl.add_net(f"n{len(nl.nets)}", driver, sinks)
+    dsps = [i for i, kind in enumerate(kinds) if kind is CellType.DSP]
+    if len(dsps) >= 2 and draw(st.booleans()):
+        nl.add_macro(dsps[: draw(st.integers(2, len(dsps)))])
+
+    missing = st.sampled_from([-2, -1, n, n + 4])
+    for net in nl.nets:
+        faults = draw(st.sets(st.sampled_from(["sink", "driver", "empty", "weight"])))
+        if "sink" in faults:
+            net.sinks = net.sinks + (draw(missing),)
+        if "driver" in faults:
+            net.driver = draw(missing)
+        if "empty" in faults:
+            net.sinks = ()
+        if "weight" in faults:
+            net.weight = draw(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -2.5]))
+    if n >= 2:
+        for a, b in draw(st.lists(st.tuples(cell, cell), max_size=2)):
+            nl.cells[a].name = nl.cells[b].name
+    for _ in range(draw(st.integers(0, 2))):
+        members = draw(st.lists(st.integers(-2, n + 2), min_size=1, max_size=4))
+        nl.macros.append(CascadeMacro(macro_id=len(nl.macros), dsps=tuple(members)))
+    device = _stub_device(
+        draw(st.integers(0, 4)), draw(st.integers(0, 3)), draw(st.integers(0, 3)),
+        draw(st.integers(1, 2)), draw(st.lists(st.integers(1, 4), max_size=3)),
+    )
+    return nl, device
+
+
+class TestMatchesLoopOracle:
+    """The array checks list the same problems, in the same order and
+    words, as the per-item loop oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(broken_netlist(), st.booleans())
+    def test_problem_lists_equal(self, case, with_device):
+        nl, device = case
+        device = device if with_device else None
+        assert netlist_problems(nl, device) == netlist_problems_loop(nl, device)
+
+    def test_empty_netlist(self, small_dev):
+        nl = Netlist("empty")
+        assert netlist_problems(nl, small_dev) == netlist_problems_loop(nl, small_dev) == []
+
+    @pytest.mark.parametrize("build", OVERSIZED)
+    def test_oversized_netlists(self, build, small_dev):
+        nl = build(small_dev)
+        assert netlist_problems(nl, small_dev) == netlist_problems_loop(nl, small_dev)
+
+    def test_generated_suite(self, mini_accel, small_dev):
+        assert netlist_problems(mini_accel, small_dev) == netlist_problems_loop(
+            mini_accel, small_dev
+        ) == []

@@ -17,6 +17,7 @@ import pytest
 import repro.core.extraction.features as features_mod
 import repro.core.extraction.iddfs as iddfs_mod
 import repro.netlist.graph as graph_mod
+import repro.netlist.validate as validate_mod
 import repro.placers.analytical as analytical_mod
 import repro.placers.detailed as detailed_mod
 import repro.solvers.mcf as mcf_mod
@@ -35,6 +36,7 @@ from tests.oracles import (
     hungarian,
     iddfs_dsp_paths_reference,
     min_cost_assignment_ssp,
+    netlist_problems_loop,
     refine_sites_reference,
 )
 
@@ -64,7 +66,7 @@ class OracleCase(NamedTuple):
 CASES = [
     OracleCase(
         "sta",
-        [(StaticTimingAnalyzer, "_analyze_vectorized")],
+        [(StaticTimingAnalyzer, "_build_graph"), (StaticTimingAnalyzer, "_analyze_vectorized")],
         lambda p: StaticTimingAnalyzer(p.netlist).analyze(p, with_slacks=True),
         lambda p: ReferenceSTA(p.netlist).analyze(p, with_slacks=True),
     ),
@@ -109,6 +111,12 @@ CASES = [
         [(graph_mod, "connectivity_matrix")],
         lambda p: graph_mod.connectivity_matrix(p.netlist),
         lambda p: connectivity_matrix_loop(p.netlist),
+    ),
+    OracleCase(
+        "validation",
+        [(validate_mod, "get_csr"), (validate_mod, "cell_codes")],
+        lambda p: validate_mod.netlist_problems(p.netlist, p.device),
+        lambda p: netlist_problems_loop(p.netlist, p.device),
     ),
     OracleCase(
         "ssp",

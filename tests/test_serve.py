@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.accelgen import generate_suite
 from repro.errors import JobCancelledError, ServeError
+from repro.netlist import CascadeMacro, CellType, netlist_from_json, netlist_to_json
 from repro.obs import SCHEMA_VERSION, validate_report
 from repro.placers.api import PlacementRequest
 from repro.serve import (
@@ -71,6 +73,87 @@ class TestCacheKey:
 
     def test_netlist_hash_is_stable(self, mini_accel):
         assert netlist_content_hash(mini_accel) == netlist_content_hash(mini_accel)
+
+
+def _swap(cells, field):
+    a, b = cells
+    va, vb = getattr(a, field), getattr(b, field)
+    setattr(a, field, vb)
+    setattr(b, field, va)
+
+
+def _move_last_sink(nl):
+    """``ctl`` (dsp5 → ff0, ff1) hands ff1 to ``ctl_in`` (ff2 → ff1, dsp5):
+    the flat sink list is unchanged, only which net owns ff1 moves."""
+    ctl, ctl_in = nl.nets[-2], nl.nets[-1]
+    ctl_in.sinks = ctl.sinks[-1:] + ctl_in.sinks
+    ctl.sinks = ctl.sinks[:-1]
+
+
+#: one mutation per field the netlist JSON document carries
+MUTATIONS = {
+    "name": lambda nl: setattr(nl, "name", "other"),
+    "target_freq_mhz": lambda nl: setattr(nl, "target_freq_mhz", 100.5),
+    "cell_name": lambda nl: setattr(nl.cells[2], "name", "renamed"),
+    "cell_ctype": lambda nl: setattr(nl.cells[2], "ctype", CellType.CARRY),
+    "cell_is_datapath": lambda nl: setattr(nl.cells[-1], "is_datapath", None),
+    "cell_fixed_xy_value": lambda nl: setattr(nl.cells[0], "fixed_xy", (10.0, 10.5)),
+    "cell_fixed_xy_swap": lambda nl: _swap(nl.cells[:2], "fixed_xy"),
+    # the pad's location moves to the next cell: same values, same order
+    "cell_fixed_xy_owner": lambda nl: _swap(nl.cells[1:3], "fixed_xy"),
+    "cell_fixed_xy_added": lambda nl: setattr(nl.cells[2], "fixed_xy", (1.0, 1.0)),
+    "cell_attrs": lambda nl: setattr(nl.cells[3], "attrs", {"role": "pe"}),
+    "cell_is_datapath_owner": lambda nl: _swap(nl.cells[-2:], "is_datapath"),
+    "net_name": lambda nl: setattr(nl.nets[0], "name", "renamed"),
+    "net_driver": lambda nl: setattr(nl.nets[1], "driver", 3),
+    "net_sink_order": lambda nl: setattr(nl.nets[-2], "sinks", nl.nets[-2].sinks[::-1]),
+    "net_sink_owner": _move_last_sink,
+    "net_weight": lambda nl: setattr(nl.nets[0], "weight", 2.0),
+    "macro_split": lambda nl: nl.macros.__setitem__(
+        slice(None),
+        [CascadeMacro(0, nl.macros[0].dsps[:2]),
+         CascadeMacro(1, nl.macros[0].dsps[2:] + nl.macros[1].dsps)],
+    ),
+    "macro_dropped": lambda nl: nl.macros.pop(),
+}
+
+
+class TestNetlistContentHash:
+    """Every field ``netlist_to_json`` writes moves the hash, bound to its
+    cell or net; equal netlists collide; the caller's netlist keeps no
+    derived arrays."""
+
+    @pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=MUTATIONS.keys())
+    def test_each_field_moves_the_hash(self, tiny_netlist, mutate):
+        before = netlist_content_hash(tiny_netlist)
+        doc = netlist_to_json(tiny_netlist)
+        mutate(tiny_netlist)
+        assert netlist_to_json(tiny_netlist) != doc  # the mutation is real
+        assert netlist_content_hash(tiny_netlist) != before
+
+    def test_json_round_trip_collides(self, tiny_netlist, mini_accel):
+        for nl in (tiny_netlist, mini_accel):
+            again = netlist_from_json(netlist_to_json(nl))
+            assert netlist_content_hash(again) == netlist_content_hash(nl)
+
+    def test_regenerated_netlist_collides(self, small_dev):
+        a, b = (generate_suite("skynet", scale=0.02, device=small_dev, seed=3) for _ in "ab")
+        assert netlist_content_hash(a) == netlist_content_hash(b)
+
+    def test_hash_leaves_nothing_on_the_netlist(self, tiny_netlist):
+        before = set(vars(tiny_netlist))
+        netlist_content_hash(tiny_netlist)
+        assert set(vars(tiny_netlist)) == before
+        assert not hasattr(tiny_netlist, "_csr_context")
+
+    def test_submit_leaves_no_context_on_the_callers_netlist(self, small_dev, mini_accel):
+        nl = netlist_from_json(netlist_to_json(mini_accel))
+        with PlacementServer(workers=1) as srv:
+            job = srv.submit(fast_request(), netlist=nl, device=small_dev)
+            assert job.key is not None
+            assert not hasattr(nl, "_csr_context")
+            job.result(timeout=120).raise_for_status()
+        assert not hasattr(nl, "_csr_context")
 
 
 class TestResultCache:

@@ -3,7 +3,9 @@
 The level-batched analysis must reproduce the per-cell loop oracle
 (``tests.oracles.ReferenceSTA``) to 1e-9 on every report field, across
 random netlists (including combinational cycles), random placements,
-detoured routing, and skewed/skew-free delay models.
+detoured routing, and skewed/skew-free delay models. The timing graph the
+product builds from the netlist's ``NetlistCSR`` (delay arrays, flat edges,
+cascade edges, levels) must equal the oracle's per-cell-list build exactly.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fpga import small_device
-from repro.netlist import CellType, Netlist
+from repro.netlist import CellType, Netlist, get_csr, netlist_from_json, netlist_to_json
 from repro.placers import Placement
 from repro.router.global_router import RoutingResult
 from repro.timing import DelayModel, StaticTimingAnalyzer
@@ -235,3 +237,128 @@ class TestCyclicBacktraceRegression:
         rep = ReferenceSTA(nl).analyze(place)
         a, b = 1, 2
         assert rep._best_pred[a] == b and rep._best_pred[b] == a
+
+
+COMB_KINDS = [CellType.LUT, CellType.CARRY, CellType.LUTRAM]
+SEQ_KINDS = [CellType.FF, CellType.DSP, CellType.BRAM]
+DELAY = st.floats(0.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def graph_case(draw):
+    """A netlist drawn to stress levelization: combinational rings and
+    their fan-out, parallel nets, unfed combinational cells, DSP cascades
+    and the empty netlist; plus a delay model with sparse tables."""
+    kinds = draw(st.lists(st.sampled_from(COMB_KINDS + SEQ_KINDS + [CellType.IO]), max_size=14))
+    nl = Netlist("g")
+    nl.target_freq_mhz = 250.0
+    for i, kind in enumerate(kinds):
+        nl.add_cell(f"c{i}", kind, fixed_xy=(0.0, 0.0) if kind.is_fixed else None)
+    n = len(kinds)
+    cell = st.integers(0, max(n - 1, 0))
+
+    def add(driver, sinks):
+        sinks = [s for s in sinks if s != driver]
+        if sinks:
+            nl.add_net(f"n{len(nl.nets)}", driver, sinks)
+
+    if n:
+        for driver, sinks in draw(st.lists(st.tuples(cell, st.lists(cell, min_size=1, max_size=3)),
+                                           max_size=2 * n)):
+            add(driver, sinks)
+    comb = [i for i, kind in enumerate(kinds) if kind in COMB_KINDS]
+    if len(comb) >= 2 and draw(st.booleans()):
+        ring = draw(st.permutations(comb))[: draw(st.integers(2, len(comb)))]
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            add(a, [b])
+        add(ring[0], draw(st.lists(cell, min_size=1, max_size=3)))  # the ring's fan-out
+    if nl.nets:
+        for k in draw(st.lists(st.integers(0, len(nl.nets) - 1), max_size=3)):
+            add(nl.nets[k].driver, nl.nets[k].sinks)  # a parallel net
+    dsps = [i for i, kind in enumerate(kinds) if kind is CellType.DSP]
+    if len(dsps) >= 2 and draw(st.booleans()):
+        nl.add_macro(dsps)
+        for a, b in zip(dsps, dsps[1:]):
+            add(a, [b])
+    dm = DelayModel(
+        prop=draw(st.dictionaries(st.sampled_from(COMB_KINDS + SEQ_KINDS), DELAY)),
+        clk_to_q=draw(st.dictionaries(st.sampled_from(list(CellType)), DELAY)),
+        setup=draw(st.dictionaries(st.sampled_from(list(CellType)), DELAY)),
+    )
+    return nl, dm
+
+
+GRAPH_ARRAYS = (
+    "_seq", "_prop_arr", "_clk2q_arr", "_setup_arr",
+    "_e_src", "_e_dst", "_e_net", "_casc_idx", "_level",
+)
+
+
+class TestGraphArrays:
+    """The CSR-built timing graph against the per-cell-list build."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph_case())
+    def test_graph_matches_loop_build(self, case):
+        nl, dm = case
+        ref, vec = ReferenceSTA(nl, dm), StaticTimingAnalyzer(nl, dm)
+        for name in GRAPH_ARRAYS:
+            a, b = getattr(vec, name), getattr(ref, name)
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        assert vec.has_comb_cycles == ref.has_comb_cycles
+
+    def test_parallel_nets_count_twice(self):
+        """A cell fed twice by one driver becomes ready only once both
+        edges are gone: a unique-neighbour count would misplace it."""
+        nl = Netlist("par")
+        a, b, c = (nl.add_cell(x, CellType.LUT) for x in "abc")
+        nl.add_net("ab0", a, [b])
+        nl.add_net("ab1", a, [b])
+        nl.add_net("bc", b, [c])
+        sta = StaticTimingAnalyzer(nl)
+        assert sta._level.tolist() == [0, 1, 2]
+        assert not sta.has_comb_cycles
+
+    def test_cycle_leftovers_levelled_in_index_order(self):
+        """Ring cells and their fan-out each take one level past the DAG's
+        deepest, by cell index — not in the order a sweep would reach them."""
+        nl = Netlist("ring")
+        z, x, r1, r0, q = (nl.add_cell(name, CellType.LUT) for name in ("z", "x", "r1", "r0", "q"))
+        nl.add_net("zq", z, [q])
+        nl.add_net("r0r1", r0, [r1, x])
+        nl.add_net("r1r0", r1, [r0, x])  # x waits on two ring cells, each ring cell on one
+        sta = StaticTimingAnalyzer(nl)
+        assert sta.has_comb_cycles
+        # DAG levels 0 (z) and 1 (q); then x, r1, r0 by index
+        assert sta._level.tolist() == [0, 2, 3, 4, 1]
+        np.testing.assert_array_equal(sta._level, ReferenceSTA(nl)._level)
+
+    def test_empty_netlist(self):
+        nl = Netlist("empty")
+        nl.target_freq_mhz = 100.0
+        sta = StaticTimingAnalyzer(nl)
+        assert sta._level.size == 0 and not sta.has_comb_cycles
+        rep = sta.analyze(Placement(nl, DEV))
+        assert rep.n_endpoints == 0 and rep.wns_ns == pytest.approx(10.0)
+
+    def test_build_reads_no_cell_or_net_objects(self, mini_accel):
+        """Once ``get_csr`` has run, the build and the analysis never walk
+        ``netlist.cells`` or ``netlist.nets``."""
+
+        class Unwalkable(list):
+            def __iter__(self):
+                raise AssertionError("walked a per-object list")
+
+        nl = netlist_from_json(netlist_to_json(mini_accel))
+        place = Placement(nl, DEV)
+        place.xy[:] = np.random.default_rng(3).uniform(
+            0.0, [DEV.width, DEV.height], (len(nl.cells), 2)
+        )
+        expect = StaticTimingAnalyzer(nl).analyze(place, with_slacks=True)
+        get_csr(nl)
+        nl.cells, nl.nets = Unwalkable(nl.cells), Unwalkable(nl.nets)
+        with pytest.raises(AssertionError, match="walked"):
+            list(nl.cells)
+        got = StaticTimingAnalyzer(nl).analyze(place, with_slacks=True)
+        _assert_reports_match(got, expect)
