@@ -6,9 +6,10 @@ skrskr2@0.25 with seeds 0-3 and skrskr3@0.3 with seeds 1-3, each placed
 once cold by ``DSPlacer(fabric_device("zcu104", scale), DSPlacerConfig())``
 and signed off as perfbench signs off: ``GlobalRouter``, then STA with the
 config's skew model, then ``max_frequency``. Each case writes one JSON line:
-the SHA-256 of the ``placement.site`` and ``placement.xy`` bytes, the HPWL,
-legality, fmax, WNS and TNS at the netlist's target clock, and the SHA-256
-of the endpoint slacks. A change meant to keep placements and timing
+the netlist's ``netlist_content_hash`` (taken before placing), the SHA-256
+of the ``placement.site`` and ``placement.xy`` bytes, the HPWL, legality,
+fmax, WNS and TNS at the netlist's target clock, and the SHA-256 of the
+endpoint slacks. A change meant to keep netlists, placements and timing
 identical must compare equal on every case::
 
     PYTHONPATH=src python benchmarks/quality_panel.py --out parent.jsonl
@@ -36,7 +37,7 @@ CASES = (
 )
 #: the fields two runs must agree on
 COMPARED = (
-    "site_sha256", "xy_sha256", "hpwl_um", "legal",
+    "netlist_sha256", "site_sha256", "xy_sha256", "hpwl_um", "legal",
     "fmax_mhz", "wns_ns", "tns_ns", "slack_sha256",
 )
 
@@ -48,10 +49,12 @@ def place_case(suite: str, scale: float, seed: int) -> dict:
     from repro.core import DSPlacer, DSPlacerConfig
     from repro.fpga import fabric_device
     from repro.router import GlobalRouter
+    from repro.serve import netlist_content_hash
     from repro.timing import StaticTimingAnalyzer, max_frequency
 
     device = fabric_device("zcu104", scale)
     netlist = generate_suite(suite, scale=scale, device=device, seed=seed)
+    netlist_sha256 = netlist_content_hash(netlist)
     config = DSPlacerConfig()
     placement = DSPlacer(device, config).place(netlist).placement
     route = GlobalRouter().route(placement)
@@ -60,6 +63,7 @@ def place_case(suite: str, scale: float, seed: int) -> dict:
     report = sta.analyze(placement, route)
     return {
         "case": f"{suite}@{scale:g}/seed{seed}",
+        "netlist_sha256": netlist_sha256,
         "site_sha256": hashlib.sha256(placement.site.tobytes()).hexdigest(),
         "xy_sha256": hashlib.sha256(placement.xy.tobytes()).hexdigest(),
         "hpwl_um": float(placement.hpwl()),

@@ -53,6 +53,16 @@ class CellType(enum.Enum):
         return "CLB"
 
 
+#: CellType order of kind codes (the netlist's kind column, ``NetlistCSR.ctype_code``).
+CELL_TYPE_CODES = tuple(CellType)
+
+
+def check_fixed(name: str, ctype: CellType, fixed_xy) -> None:
+    """A fixed kind (IO, PS) needs its device location."""
+    if ctype.is_fixed and fixed_xy is None:
+        raise ValueError(f"cell {name!r} of fixed kind {ctype.value} needs fixed_xy")
+
+
 @dataclass
 class Cell:
     """A netlist component.
@@ -79,10 +89,7 @@ class Cell:
     attrs: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.ctype.is_fixed and self.fixed_xy is None:
-            raise ValueError(
-                f"cell {self.name!r} of fixed kind {self.ctype.value} needs fixed_xy"
-            )
+        check_fixed(self.name, self.ctype, self.fixed_xy)
         if self.macro_id is not None and not self.ctype.is_dsp:
             raise ValueError(f"cell {self.name!r}: only DSP cells join cascade macros")
 

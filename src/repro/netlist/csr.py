@@ -12,28 +12,29 @@ codes, fixed mask, DSP indices) from here too, instead of walking
 ``netlist.cells`` on every call.
 
 The context caches *structure only* — cell kinds, net topology, adjacency
-patterns. Net ``weight`` values are deliberately **not** cached because the
+patterns — and builds it from the netlist's columns, not from ``Cell`` or
+``Net`` rows. Net weights are deliberately **not** cached because the
 timing-driven placers rescale them in place between iterations
 (``vivado_like`` criticality reweighting); weight-dependent consumers read
-``net.weight`` fresh and only borrow the flattened index arrays from here.
+them live from the weight column (:meth:`Netlist.net_weights`) and only
+borrow the flattened index arrays from here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import is_not
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.netlist.cell import Cell, CellType
+from repro.netlist.cell import CELL_TYPE_CODES, CellType
 from repro.netlist.netlist import Netlist
-
 
 #: Site-family order of the per-cell ``site_code`` array.
 SITE_KIND_CODES = ("CLB", "DSP", "BRAM", "FIXED")
 
-#: CellType order of the per-cell ``ctype_code`` array.
-CELL_TYPE_CODES = tuple(CellType)
 _CTYPE_CODE = {t: i for i, t in enumerate(CELL_TYPE_CODES)}
 # per-CellType-code lookups for the derived per-cell arrays
 _SITE_CODE_OF = np.array(
@@ -131,29 +132,20 @@ class NetlistCSR:
         return adj
 
 
-def cell_codes(cells: list[Cell]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell ``ctype_code`` and ``is_fixed`` arrays of a cell list."""
-    n = len(cells)
+def cell_codes(netlist: Netlist) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell ``ctype_code`` and ``is_fixed`` arrays, read from the columns."""
+    n = len(netlist)
     return (
-        np.fromiter((_CTYPE_CODE[c.ctype] for c in cells), dtype=np.int8, count=n),
-        np.fromiter((c.is_fixed for c in cells), dtype=bool, count=n),
+        np.array(netlist._ckind, dtype=np.int8).reshape(n),
+        np.fromiter(map(is_not, netlist._cxy, repeat(None)), dtype=bool, count=n),
     )
 
 
 def build_csr(netlist: Netlist) -> NetlistCSR:
     """Build a fresh context; prefer :func:`get_csr` for the cached one."""
-    n = len(netlist.cells)
-    n_nets = len(netlist.nets)
-    net_driver = np.fromiter(
-        (net.driver for net in netlist.nets), dtype=np.int64, count=n_nets
-    )
-    net_nsinks = np.fromiter(
-        (len(net.sinks) for net in netlist.nets), dtype=np.int64, count=n_nets
-    )
-    total_sinks = int(net_nsinks.sum())
-    sink_flat = np.fromiter(
-        (s for net in netlist.nets for s in net.sinks), dtype=np.int64, count=total_sinks
-    )
+    n = len(netlist)
+    net_driver, net_nsinks, sink_flat = netlist._pins()
+    n_nets = net_driver.size
     sink_net = np.repeat(np.arange(n_nets, dtype=np.int64), net_nsinks)
     sink_indptr = np.zeros(n_nets + 1, dtype=np.int64)
     np.cumsum(net_nsinks, out=sink_indptr[1:])
@@ -172,7 +164,7 @@ def build_csr(netlist: Netlist) -> NetlistCSR:
     undirected = (directed + directed.T).tocsr()
     undirected.data[:] = 1.0
 
-    ctype_code, is_fixed = cell_codes(netlist.cells)
+    ctype_code, is_fixed = cell_codes(netlist)
     is_dsp = ctype_code == _CTYPE_CODE[CellType.DSP]
     return NetlistCSR(
         n=n,

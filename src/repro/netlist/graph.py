@@ -54,23 +54,18 @@ def connectivity_matrix(
 
     The net topology arrays come from the shared
     :class:`~repro.netlist.csr.NetlistCSR` context; per-net weights are read
-    fresh on every call because the timing-driven placers rescale them in
-    place between iterations. Clique nets are expanded degree-group by
-    degree-group through one ``np.triu_indices`` batch each; star nets are
-    two concatenated index gathers.
+    live from the weight column on every call because the timing-driven
+    placers rescale them in place between iterations. Clique nets are
+    expanded degree-group by degree-group through one ``np.triu_indices``
+    batch each; star nets are two concatenated index gathers.
     """
     ctx = get_csr(netlist)
     n = ctx.n
-    n_nets = len(netlist.nets)
+    n_nets = ctx.net_driver.size
     if n_nets == 0:
         return sp.csr_matrix((n, n), dtype=np.float64)
     degree = ctx.net_nsinks + 1  # pins per net (driver + sinks)
-    if use_net_weights:
-        weight = np.fromiter(
-            (net.weight for net in netlist.nets), dtype=np.float64, count=n_nets
-        )
-    else:
-        weight = np.ones(n_nets)
+    weight = netlist.net_weights() if use_net_weights else np.ones(n_nets)
     w_net = weight / np.maximum(degree - 1, 1)
 
     row_parts: list[np.ndarray] = []

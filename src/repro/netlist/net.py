@@ -3,7 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+
+def check_weight(name: str, weight: float) -> None:
+    """A net weight must be finite and positive."""
+    if not (math.isfinite(weight) and weight > 0):
+        raise ValueError(f"net {name!r} weight {weight!r} is not finite and positive")
 
 
 @dataclass
@@ -32,8 +38,11 @@ class Net:
             raise ValueError(f"net {self.name!r} drives itself")
         if len(set(self.sinks)) != len(self.sinks):
             raise ValueError(f"net {self.name!r} has duplicate sinks")
-        if not (math.isfinite(self.weight) and self.weight > 0):
-            raise ValueError(f"net {self.name!r} weight {self.weight!r} is not finite and positive")
+        check_weight(self.name, self.weight)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        fields = ("index", "name", "driver", "sinks", "weight")
+        return "Net(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in fields) + ")"
 
     @property
     def cells(self) -> tuple[int, ...]:

@@ -23,7 +23,7 @@ from operator import attrgetter
 import numpy as np
 
 from repro.errors import NetlistValidationError
-from repro.netlist.cell import CellType
+from repro.netlist.cell import CELL_TYPE_CODES, CellType
 from repro.netlist.csr import _CTYPE_CODE, _SITE_CODE_OF, SITE_KIND_CODES, cell_codes, get_csr
 from repro.netlist.netlist import Netlist
 
@@ -36,10 +36,9 @@ def netlist_problems(netlist: Netlist, device=None) -> list[str]:
     The checks run on arrays; a message is formatted only for an offender.
     """
     problems: list[str] = []
-    cells, nets, macros = netlist.cells, netlist.nets, netlist.macros
-    n_cells = len(cells)
+    names, macros = netlist._cname, netlist.macros
+    n_cells = len(names)
 
-    names = list(map(attrgetter("name"), cells))
     dupes = [n for n, c in Counter(names).items() if c > 1] if len(set(names)) < n_cells else []
     for name in dupes:
         problems.append(
@@ -47,35 +46,31 @@ def netlist_problems(netlist: Netlist, device=None) -> list[str]:
             "must be unique"
         )
 
-    # pins come from the nets: build_csr raises on a dangling index, so the
-    # range check runs before any get_csr
-    driver, sinks, weight = (list(map(attrgetter(f), nets)) for f in ("driver", "sinks", "weight"))
-    nsinks = np.fromiter(map(len, sinks), dtype=np.int64, count=len(nets))
-    pins = np.array(driver + list(chain.from_iterable(sinks)), dtype=np.int64)
-    pin_net = np.r_[np.arange(len(nets)), np.repeat(np.arange(len(nets)), nsinks)]
-    dangles = np.isin(np.arange(len(nets)), pin_net[(pins < 0) | (pins >= n_cells)])
-    w = np.array(weight, dtype=np.float64)
+    # pins come from the net columns: build_csr raises on a dangling index,
+    # so the range check runs before any get_csr
+    nsinks, dangles = netlist._dangling()
+    w = netlist.net_weights()
     for k in np.flatnonzero(dangles | (nsinks == 0) | ~(np.isfinite(w) & (w > 0))).tolist():
-        net = nets[k]
-        bad = [i for i in net.cells if not 0 <= i < n_cells]
+        name, sinks, weight = netlist._nname[k], netlist._nsinks[k], netlist._nweight[k]
+        bad = [i for i in (netlist._ndriver[k], *sinks) if not 0 <= i < n_cells]
         if bad:
             problems.append(
-                f"net {net.name!r} dangles: references missing cell index(es) "
+                f"net {name!r} dangles: references missing cell index(es) "
                 f"{bad} (netlist has {n_cells} cells) — drop the net or add "
                 "the cells first"
             )
-        if not net.sinks:
+        if not sinks:
             problems.append(
-                f"net {net.name!r} has a driver but no sinks — remove it or "
+                f"net {name!r} has a driver but no sinks — remove it or "
                 "connect a load"
             )
-        if not (math.isfinite(net.weight) and net.weight > 0):
+        if not (math.isfinite(weight) and weight > 0):
             problems.append(
-                f"net {net.name!r} has weight {net.weight!r} — net weights must "
+                f"net {name!r} has weight {weight!r} — net weights must "
                 "be finite and positive; reset it to 1.0"
             )
     ctx = None if dangles.any() else get_csr(netlist)
-    code, fixed = cell_codes(cells) if ctx is None else (ctx.ctype_code, ctx.is_fixed)
+    code, fixed = cell_codes(netlist) if ctx is None else (ctx.ctype_code, ctx.is_fixed)
 
     chains = list(map(attrgetter("dsps"), macros))
     flat = list(chain.from_iterable(chains))
@@ -94,9 +89,9 @@ def netlist_problems(netlist: Netlist, device=None) -> list[str]:
             continue
         if not_dsp[k]:
             problems.append(
-                f"macro {macro.macro_id} member {cells[idx].name!r} is a "
-                f"{cells[idx].ctype.value}, not a DSP — cascade macros may only "
-                "contain DSP cells"
+                f"macro {macro.macro_id} member {names[idx]!r} is a "
+                f"{CELL_TYPE_CODES[netlist._ckind[idx]].value}, not a DSP — "
+                "cascade macros may only contain DSP cells"
             )
         if repeat[k]:
             problems.append(

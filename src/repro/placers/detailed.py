@@ -65,7 +65,7 @@ def _refine_vectorized(
     """Batched engine: same cell order, same accept decisions, no rescans."""
     nl, dev = placement.netlist, placement.device
     rng = np.random.default_rng(seed)
-    n = len(nl.cells)
+    n = len(nl)
     ctx = get_csr(nl)
     if movable_mask is None:
         movable_mask = ~ctx.is_fixed
@@ -79,15 +79,6 @@ def _refine_vectorized(
         in_macro_arr[list(in_macro)] = True
 
     pin_cell, pin_ptr = ctx.pin_cell, ctx.pin_ptr
-    all_nets = nl.nets
-
-    def _weights_of(nid: np.ndarray) -> np.ndarray:
-        # live read — only for the few nets incident to refined cells
-        return np.fromiter(
-            (all_nets[k].weight for k in nid.tolist()),
-            dtype=np.float64,
-            count=nid.size,
-        )
 
     # per-cell incident nets, grouped once from the flat pin arrays: net ids
     # ascending with one entry per pin — exactly ``Netlist.nets_of_cell``
@@ -122,7 +113,8 @@ def _refine_vectorized(
             starts[i] = off
             off += seg.size
         nid = np.asarray(net_ids, dtype=np.int64)
-        return np.concatenate(segs), starts, _weights_of(nid)
+        # live weights: only the few nets incident to refined cells
+        return np.concatenate(segs), starts, nl.net_weights(nid)
 
     is_dsp_cell = ctx.is_dsp
     is_bram_cell = ctx.site_code == SITE_KIND_CODES.index("BRAM")
@@ -151,7 +143,7 @@ def _refine_vectorized(
         pin_off = pin_csum[net_off]
         # each net's pin offset *within its cell's block*
         starts_all = pin_csum[:-1] - np.repeat(pin_off[:-1], inc_counts[cells_arr])
-        w_all = _weights_of(nid_all)
+        w_all = nl.net_weights(nid_all)
         # mask of each cell's own slots in its flat pin block: max/min are
         # exact under any grouping, so a net's bbox with the cell at a trial
         # position is max(rest, trial) where "rest" excludes the cell's pins
@@ -190,7 +182,7 @@ def _refine_vectorized(
                 rest_mnx = np.minimum.reduceat(np.where(is_own_all, np.inf, pxa), abs_starts)
                 rest_mxy = np.maximum.reduceat(np.where(is_own_all, -np.inf, pya), abs_starts)
                 rest_mny = np.minimum.reduceat(np.where(is_own_all, np.inf, pya), abs_starts)
-            dirty_net = np.zeros(len(all_nets), dtype=bool)
+            dirty_net = np.zeros(ctx.net_driver.size, dtype=bool)
             # every (cell, candidate) improvement verdict in one batch at
             # pass-start state: candidate scores are independent of which
             # other candidates are free, so a clean visit (cell unmoved, no

@@ -21,12 +21,11 @@ class Placement:
     def __init__(self, netlist: Netlist, device: Device) -> None:
         self.netlist = netlist
         self.device = device
-        n = len(netlist.cells)
+        n = len(netlist)
         self.xy = np.full((n, 2), (device.width / 2.0, device.height / 2.0), dtype=np.float64)
         self.site = np.full(n, -1, dtype=np.int64)
-        fixed = [c for c in netlist.cells if c.fixed_xy is not None]
-        if fixed:
-            self.xy[[c.index for c in fixed]] = [c.fixed_xy for c in fixed]
+        fixed_idx, fixed_xy = netlist.fixed_cells()
+        self.xy[fixed_idx] = fixed_xy
 
     def copy(self) -> "Placement":
         new = Placement.__new__(Placement)
@@ -39,7 +38,7 @@ class Placement:
     # ------------------------------------------------------------------
     def assign_site(self, cell_idx: int, site_id: int) -> None:
         """Pin a cell onto a site of its kind and update its coordinates."""
-        kind = self.netlist.cells[cell_idx].ctype.site_kind
+        kind = SITE_KIND_CODES[get_csr(self.netlist).site_code[cell_idx]]
         self.site[cell_idx] = site_id
         self.xy[cell_idx] = self.device.site_xy(kind)[site_id]
 
@@ -49,20 +48,6 @@ class Placement:
         revision; nets store pins driver-first, matching ``net.cells``)."""
         ctx = get_csr(self.netlist)
         return ctx.pin_cell, ctx.pin_ptr
-
-    def _net_weights(self) -> np.ndarray:
-        """Per-net weights, read **live** on every call: timing-driven
-        placers rescale ``net.weight`` in place between rounds, so caching
-        here would freeze the weighted HPWL at its first-query value."""
-        nets = self.netlist.nets
-        return np.fromiter(
-            (net.weight for net in nets), dtype=np.float64, count=len(nets)
-        )
-
-    def _pin_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flattened (pin_cell, net_ptr, net_weight) arrays for HPWL."""
-        pin_cell, ptr = self._pin_structure()
-        return pin_cell, ptr, self._net_weights()
 
     def net_bboxes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(xmin, xmax, ymin, ymax) per net, vectorized."""
@@ -80,20 +65,17 @@ class Placement:
         """Total half-perimeter wirelength (µm); the paper's HPWL metric."""
         xmin, xmax, ymin, ymax = self.net_bboxes()
         lengths = (xmax - xmin) + (ymax - ymin)
-        if weighted:
-            lengths = lengths * self._net_weights()
+        if weighted:  # live: timing-driven placers rescale weights between rounds
+            lengths = lengths * self.netlist.net_weights()
         return float(lengths.sum())
 
     # ------------------------------------------------------------------
     def _legality_arrays(self) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-        """(fixed_idx, fixed_xy, {kind: placeable cell indices}), derived
-        from the cached :class:`~repro.netlist.csr.NetlistCSR` masks."""
+        """(fixed_idx, fixed_xy, {kind: placeable cell indices}): the fixed
+        cells from the netlist's column, the kinds from the cached
+        :class:`~repro.netlist.csr.NetlistCSR` masks."""
         ctx = get_csr(self.netlist)
-        cells = self.netlist.cells
-        fixed_idx = np.flatnonzero(ctx.is_fixed)
-        fixed_xy = np.array(
-            [cells[i].fixed_xy for i in fixed_idx.tolist()], dtype=np.float64
-        ).reshape(-1, 2)
+        fixed_idx, fixed_xy = self.netlist.fixed_cells()
         placeable = ~ctx.is_fixed
         kind_idx = {
             kind: np.flatnonzero(placeable & (ctx.site_code == SITE_KIND_CODES.index(kind)))

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.netlist.csr import get_csr
 from repro.obs import metrics, trace
 from repro.placers.placement import Placement
 from repro.router.estimator import net_hpwl, steiner_factor
@@ -77,7 +78,7 @@ class GlobalRouter:
 
         xmin, xmax, ymin, ymax = placement.net_bboxes()
         hp = (xmax - xmin) + (ymax - ymin)
-        fanouts = np.array([n.degree for n in placement.netlist.nets], dtype=np.float64)
+        fanouts = get_csr(placement.netlist).net_nsinks + 1.0
         wl = hp * steiner_factor(fanouts)
 
         # bin index ranges of each net bbox (inclusive)

@@ -29,11 +29,9 @@ import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import attrgetter
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
+from repro.netlist.io import netlist_content_hash
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fpga.device import Device
@@ -45,41 +43,6 @@ __all__ = ["netlist_content_hash", "device_id", "cache_key", "CacheEntry", "Resu
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-#: version of the netlist content hash's encoding
-_NETLIST_KEY_VERSION = 2
-#: per-cell JSON fields (``ctype._value_`` skips the enum property's cost)
-_CELL_FIELDS = ("name", "ctype._value_", "is_datapath", "attrs")
-
-
-def netlist_content_hash(netlist: "Netlist") -> str:
-    """SHA-256 of every netlist field, in cell and net order (module doc)."""
-    cells, nets = netlist.cells, netlist.nets
-    fixed = [(i, xy) for i, xy in enumerate(map(attrgetter("fixed_xy"), cells)) if xy]
-    sinks = list(map(attrgetter("sinks"), nets))
-    chains = list(map(attrgetter("dsps"), netlist.macros))
-    doc = [_NETLIST_KEY_VERSION, netlist.name, netlist.target_freq_mhz]
-    doc += [list(map(attrgetter(f), cells)) for f in _CELL_FIELDS]
-    doc.append(list(map(attrgetter("name"), nets)))
-    ints = (
-        [i for i, _ in fixed],
-        list(map(attrgetter("driver"), nets)),
-        list(map(len, sinks)),
-        list(chain.from_iterable(sinks)),
-        list(map(len, chains)),
-        list(chain.from_iterable(chains)),
-    )
-    floats = ([xy for _, xy in fixed], list(map(attrgetter("weight"), nets)))
-    h = hashlib.sha256()
-    for data in (
-        json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8"),
-        *(np.array(a, dtype=np.int64).tobytes() for a in ints),
-        *(np.array(a, dtype=np.float64).tobytes() for a in floats),
-    ):
-        h.update(len(data).to_bytes(8, "little"))
-        h.update(data)
-    return h.hexdigest()
 
 
 def device_id(device: "Device") -> str:

@@ -5,11 +5,13 @@ obvious way, and the equivalence suites compare the two. Where the kernel
 is one step of a larger object (STA analysis, the legalizer's single-site
 and CLB fills, router negotiation, slab spreading), the oracle is a
 subclass that overrides just that private method; the rest are
-free functions with the product function's signature.
+free functions with the product function's signature (the accelerator
+generator's oracle builds its filler one cell and one net at a time).
 ``tests/test_oracles.py`` checks that every oracle runs its own loop.
 Nothing under ``src/`` may import this package.
 """
 
+from tests.oracles.accelgen import generate_accelerator_reference
 from tests.oracles.extraction import (
     extract_node_features_reference,
     iddfs_dsp_paths_reference,
@@ -34,6 +36,7 @@ __all__ = [
     "candidate_paths",
     "connectivity_matrix_loop",
     "extract_node_features_reference",
+    "generate_accelerator_reference",
     "hungarian",
     "iddfs_dsp_paths_reference",
     "iddfs_single_source",

@@ -14,6 +14,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
+import repro.accelgen.generator as generator_mod
 import repro.core.extraction.features as features_mod
 import repro.core.extraction.iddfs as iddfs_mod
 import repro.netlist.graph as graph_mod
@@ -21,6 +22,7 @@ import repro.netlist.validate as validate_mod
 import repro.placers.analytical as analytical_mod
 import repro.placers.detailed as detailed_mod
 import repro.solvers.mcf as mcf_mod
+from repro.accelgen import AcceleratorConfig, generate_accelerator
 from repro.core.extraction import extract_node_features, iddfs_dsp_paths
 from repro.placers import Legalizer, Placement, QuadraticGlobalPlacer, refine_sites
 from repro.router.pattern_router import PatternRouter
@@ -33,6 +35,7 @@ from tests.oracles import (
     ReferenceSTA,
     connectivity_matrix_loop,
     extract_node_features_reference,
+    generate_accelerator_reference,
     hungarian,
     iddfs_dsp_paths_reference,
     min_cost_assignment_ssp,
@@ -53,6 +56,7 @@ def _spread_args(p: Placement):
 
 _ARCS = [(0, 0, 3.0), (0, 1, 1.0), (1, 0, 1.0), (1, 2, 5.0), (2, 1, 2.0), (2, 2, 4.0)]
 _COST = np.array([[3.0, 1.0, 9.0], [1.0, 9.0, 5.0], [9.0, 2.0, 4.0]])
+_ACCEL = AcceleratorConfig("oracle", 24, 4, 2, 300, 20, 300, 12, 150.0)
 
 
 class OracleCase(NamedTuple):
@@ -117,6 +121,12 @@ CASES = [
         [(validate_mod, "get_csr"), (validate_mod, "cell_codes")],
         lambda p: validate_mod.netlist_problems(p.netlist, p.device),
         lambda p: netlist_problems_loop(p.netlist, p.device),
+    ),
+    OracleCase(
+        "accelgen",
+        [(generator_mod, "_filler")],
+        lambda p: generate_accelerator(_ACCEL),
+        lambda p: generate_accelerator_reference(_ACCEL),
     ),
     OracleCase(
         "ssp",

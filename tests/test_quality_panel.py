@@ -9,7 +9,7 @@ from pathlib import Path
 PANEL = Path(__file__).resolve().parent.parent / "benchmarks" / "quality_panel.py"
 
 ROW = {
-    "site_sha256": "aa", "xy_sha256": "bb", "hpwl_um": 1.5, "legal": True,
+    "netlist_sha256": "ff", "site_sha256": "aa", "xy_sha256": "bb", "hpwl_um": 1.5, "legal": True,
     "fmax_mhz": 250.0, "wns_ns": 0.1, "tns_ns": 0.0, "slack_sha256": "dd",
 }
 
@@ -36,7 +36,7 @@ def test_identical_runs_compare_equal(tmp_path):
 
 def test_any_field_difference_fails(tmp_path):
     for field, value in (
-        ("xy_sha256", "cc"), ("hpwl_um", 1.25), ("legal", False),
+        ("netlist_sha256", "fe"), ("xy_sha256", "cc"), ("hpwl_um", 1.25), ("legal", False),
         ("fmax_mhz", 249.5), ("wns_ns", -0.1), ("tns_ns", -0.1), ("slack_sha256", "ee"),
     ):
         out = _compare(tmp_path, {"x": ROW}, {"x": {**ROW, field: value}})
