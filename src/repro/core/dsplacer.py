@@ -441,7 +441,7 @@ class DSPlacer:
             with trace.span("extraction.dsp_graph"):
                 dsp_graph = build_dsp_graph(netlist, paths)
                 datapath_graph = prune_control_dsps(dsp_graph, flags)
-            datapath_dsps = sorted(datapath_graph.nodes)
+            datapath_dsps = datapath_graph.nodes.tolist()
             ext_sp.set(n_datapath_dsps=len(datapath_dsps))
         metrics.gauge("extraction.datapath_dsps", len(datapath_dsps))
         metrics.gauge("extraction.dsp_graph_nodes", dsp_graph.number_of_nodes())

@@ -35,10 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 import scipy.optimize
 
+from repro.core.extraction.dsp_graph import DSPGraph
 from repro.errors import (
     ConfigurationError,
     SolverError,
@@ -46,7 +46,7 @@ from repro.errors import (
     SolverInputError,
 )
 from repro.fpga.device import Device
-from repro.netlist.graph import connectivity_matrix
+from repro.netlist.csr import connectivity_matrix
 from repro.netlist.netlist import Netlist
 from repro.obs import metrics, trace
 from repro.placers.placement import Placement
@@ -129,7 +129,7 @@ class DatapathDSPAssigner:
         self,
         netlist: Netlist,
         device: Device,
-        dsp_graph: nx.DiGraph,
+        dsp_graph: DSPGraph,
         datapath_dsps: list[int],
         config: AssignmentConfig | None = None,
         skew_model=None,
@@ -159,13 +159,14 @@ class DatapathDSPAssigner:
         if self.config.skew_weight > 0 and skew_model is not None:
             self._site_skew = skew_model.arrivals_at(device, self.site_xy)
 
-        # netlist neighbourhoods (top-weighted, bounded)
+        # netlist neighbourhoods (top-weighted, bounded): CSR row slices,
+        # each in column order
         w = connectivity_matrix(netlist)
+        ptr = w.indptr
         self._base_neighbors: list[tuple[np.ndarray, np.ndarray]] = []
         for i in self.dsps:
-            row = w.getrow(i)
-            idx = row.indices
-            val = row.data
+            idx = w.indices[ptr[i] : ptr[i + 1]].copy()
+            val = w.data[ptr[i] : ptr[i + 1]].copy()
             if idx.size > self.config.max_neighbors:
                 top = np.argpartition(val, -self.config.max_neighbors)[
                     -self.config.max_neighbors :
@@ -176,13 +177,11 @@ class DatapathDSPAssigner:
 
         # datapath-angle coefficient per DSP: λ·(outdeg − indeg) in E_D
         pos_in_dsps = {d: k for k, d in enumerate(self.dsps)}
-        self._angle_coef = np.zeros(len(self.dsps))
-        for u, v in dsp_graph.edges:
-            if u in pos_in_dsps:
-                self._angle_coef[pos_in_dsps[u]] += 1.0
-            if v in pos_in_dsps:
-                self._angle_coef[pos_in_dsps[v]] -= 1.0
-        self._angle_coef *= self.config.lam
+        n_cells = len(netlist)
+        degree = np.bincount(dsp_graph.src, minlength=n_cells) - np.bincount(
+            dsp_graph.dst, minlength=n_cells
+        )
+        self._angle_coef = degree[self.dsps].astype(np.float64) * self.config.lam
 
         # cascade partners among the assigned DSPs. The linearized *cost*
         # only pulls the successor toward (site of pred)+1 — a symmetric

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import networkx as nx
 import numpy as np
 
+from repro.core.extraction.dsp_graph import DSPGraph
 from repro.netlist.cell import CellType
 from repro.placers.placement import Placement
 
@@ -34,7 +34,7 @@ class DatapathLayoutMetrics:
     dsp_bbox_area_frac: float  # datapath DSP bounding box / device area
 
 
-def layout_metrics(placement: Placement, dsp_graph: nx.DiGraph) -> DatapathLayoutMetrics:
+def layout_metrics(placement: Placement, dsp_graph: DSPGraph) -> DatapathLayoutMetrics:
     """Compute the Fig. 9 order metrics for a placement."""
     nl, dev = placement.netlist, placement.device
     site_col = dev.site_col("DSP")
@@ -47,20 +47,15 @@ def layout_metrics(placement: Placement, dsp_graph: nx.DiGraph) -> DatapathLayou
             adjacent += 1
     adj_frac = adjacent / len(pairs) if pairs else 1.0
 
-    lengths = []
-    deltas = []
-    for u, v, attrs in dsp_graph.edges(data=True):
-        du = placement.xy[u] - placement.xy[v]
-        lengths.append(abs(float(du[0])) + abs(float(du[1])))
-        if attrs.get("cascade"):
-            # intra-chain edges are vertical by legality; the PS-angle
-            # ordering (eq. 6) is about the *dataflow between* chains
-            continue
-        cu = _ps_cos(placement, u)
-        cv = _ps_cos(placement, v)
-        deltas.append(np.sign(cv - cu))  # +1 when cos increases pred→succ
-    mean_len = float(np.mean(lengths)) if lengths else 0.0
-    monotonicity = float(np.mean(deltas)) if deltas else 0.0
+    xy_u, xy_v = placement.xy[dsp_graph.src], placement.xy[dsp_graph.dst]
+    lengths = np.abs(xy_u - xy_v).sum(axis=1)
+    # intra-chain edges are vertical by legality; the PS-angle ordering
+    # (eq. 6) is about the *dataflow between* chains
+    between = ~dsp_graph.cascade
+    # +1 when cos increases pred→succ
+    deltas = np.sign(_ps_cos(xy_v[between]) - _ps_cos(xy_u[between]))
+    mean_len = float(np.mean(lengths)) if lengths.size else 0.0
+    monotonicity = float(np.mean(deltas)) if deltas.size else 0.0
 
     dp = [c.index for c in nl.cells if c.ctype.is_dsp and c.is_datapath]
     if dp:
@@ -77,9 +72,8 @@ def layout_metrics(placement: Placement, dsp_graph: nx.DiGraph) -> DatapathLayou
     )
 
 
-def _ps_cos(placement: Placement, cell: int) -> float:
-    x, y = placement.xy[cell]
-    return float(x / max(np.hypot(x, y), 1e-9))
+def _ps_cos(xy: np.ndarray) -> np.ndarray:
+    return xy[:, 0] / np.maximum(np.hypot(xy[:, 0], xy[:, 1]), 1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -94,7 +88,7 @@ _ROLE_COLORS = {
 
 def placement_to_svg(
     placement: Placement,
-    dsp_graph: nx.DiGraph | None = None,
+    dsp_graph: DSPGraph | None = None,
     path: str | Path | None = None,
     scale: float = 0.15,
     title: str = "",
@@ -131,7 +125,7 @@ def placement_to_svg(
         )
     # datapath edges
     if dsp_graph is not None:
-        for u, v in dsp_graph.edges:
+        for u, v in zip(dsp_graph.src.tolist(), dsp_graph.dst.tolist()):
             x1, y1 = placement.xy[u]
             x2, y2 = placement.xy[v]
             parts.append(

@@ -27,8 +27,7 @@ import scipy.sparse as sp
 
 from repro.errors import SolverConvergenceError
 from repro.fpga.device import Device
-from repro.netlist.csr import CELL_TYPE_CODES, get_csr
-from repro.netlist.graph import connectivity_matrix
+from repro.netlist.csr import CELL_TYPE_CODES, connectivity_matrix, get_csr
 from repro.netlist.netlist import Netlist
 from repro.obs import metrics, trace
 from repro.placers.placement import Placement

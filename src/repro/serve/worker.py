@@ -17,7 +17,8 @@ The payload is a plain dict (picklable under both ``fork`` and ``spawn``):
     Engine name, this attempt's seed, and the resolved
     :class:`~repro.core.DSPlacerConfig` document for that seed.
 ``with_timing``
-    Also route and run STA (slower; adds WNS/TNS/fmax to quality).
+    Also route and run STA under the config's skew model (slower; adds
+    WNS/TNS/fmax to quality).
 ``faults``
     :meth:`~repro.robustness.FaultInjector.to_specs` output to replay
     inside this worker (chaos testing); empty for real serving.
@@ -35,11 +36,15 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import Any
 
-from repro import obs
+# sign-off modules load here, so forked attempts inherit them; ``timing`` is
+# kept as a module so patches of ``timing.max_frequency`` reach the worker
+from repro import obs, timing
+from repro.clock import get_skew_model
 from repro.errors import ReproError
 from repro.placers.api import get_placer
 from repro.placers.placement import Placement
 from repro.robustness import FaultInjector, RunHealth, inject
+from repro.router import GlobalRouter
 
 __all__ = ["run_attempt", "rebuild_placement"]
 
@@ -69,17 +74,16 @@ def _execute(payload: dict[str, Any]) -> dict[str, Any]:
                 "hpwl_um": float(placement.hpwl()),
             }
             if with_timing:
-                from repro.router import GlobalRouter
-                from repro.timing import StaticTimingAnalyzer, max_frequency
-
                 route = GlobalRouter().route(placement)
-                sta = StaticTimingAnalyzer(netlist)
+                sta = timing.StaticTimingAnalyzer(
+                    netlist, skew_model=get_skew_model(config.skew_model, device)
+                )
                 rep = sta.analyze(placement, route)
                 quality.update(
                     routed_wl_um=float(route.total_wirelength),
                     wns_ns=float(rep.wns_ns),
                     tns_ns=float(rep.tns_ns),
-                    fmax_mhz=float(max_frequency(sta, placement, route)),
+                    fmax_mhz=float(timing.max_frequency(sta, placement, route)),
                 )
 
     if tool == "dsplacer":

@@ -66,18 +66,37 @@ def _normalize_arcs(
 def _assignment_lapjvsp(
     n_agents: int, n_slots: int, agents: np.ndarray, slots: np.ndarray, costs: np.ndarray
 ) -> dict[int, int]:
-    """Unit-capacity assignment via scipy's sparse LAPJVsp."""
-    # LAPJVsp drops explicit zeros from the sparsity pattern; shift every
-    # cost strictly positive — a uniform shift adds n_agents·shift to every
-    # perfect matching, leaving the argmin unchanged.
+    """Unit-capacity assignment via scipy's sparse LAPJVsp, on integer costs.
+
+    LAPJVsp drops explicit zeros, so costs are shifted to at least 1 (a
+    uniform shift keeps the argmin). On float costs its loop can also spin
+    forever on rounding in the dual updates (``tests/test_solvers_mcf.py``
+    holds a 6 × 6 matrix that never returned). So the shifted costs are
+    rounded to multiples of ``2**-s`` and scaled by ``2**s`` into integers,
+    ``s`` the largest value up to 20 with ``n_agents · max(cost) < 2**53``:
+    every sum the solver forms is then an exact float64 integer, and it
+    terminates. When no ``s >= 0`` fits, a dense Hungarian solve runs.
+    """
     lo = float(costs.min())
     shifted = costs + (1.0 - lo) if lo < 1.0 else costs
-    graph = sp.csr_matrix((shifted, (agents, slots)), shape=(n_agents, n_slots))
+    hi = float(shifted.max())
+    s = 20
+    while s >= 0 and n_agents * np.rint(hi * 2.0**s) >= 2.0**53:
+        s -= 1
     try:
-        rows, cols = csgraph.min_weight_full_bipartite_matching(graph)
+        if s < 0:
+            from scipy.optimize import linear_sum_assignment
+
+            dense = np.full((n_agents, n_slots), np.inf)
+            dense[agents, slots] = costs
+            rows, cols = linear_sum_assignment(dense)
+        else:
+            scaled = np.maximum(np.rint(shifted * 2.0**s), 1.0)
+            graph = sp.csr_matrix((scaled, (agents, slots)), shape=(n_agents, n_slots))
+            rows, cols = csgraph.min_weight_full_bipartite_matching(graph)
+            metrics.inc("mcf.lapjvsp_solves")
     except ValueError as exc:
         raise SolverInfeasibleError(f"infeasible assignment: {exc}") from exc
-    metrics.inc("mcf.lapjvsp_solves")
     return {int(r): int(c) for r, c in zip(rows, cols)}
 
 

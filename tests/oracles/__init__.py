@@ -13,11 +13,18 @@ Nothing under ``src/`` may import this package.
 
 from tests.oracles.accelgen import generate_accelerator_reference
 from tests.oracles.extraction import (
+    build_dsp_graph_reference,
     extract_node_features_reference,
     iddfs_dsp_paths_reference,
     iddfs_single_source,
+    prune_control_dsps_reference,
 )
-from tests.oracles.netlist import connectivity_matrix_loop, netlist_problems_loop
+from tests.oracles.netlist import (
+    connectivity_matrix_loop,
+    netlist_problems_loop,
+    netlist_to_digraph,
+    netlist_to_graph,
+)
 from tests.oracles.placers import (
     ReferenceLegalizer,
     ReferenceSpreadPlacer,
@@ -33,6 +40,7 @@ __all__ = [
     "ReferencePatternRouter",
     "ReferenceSTA",
     "ReferenceSpreadPlacer",
+    "build_dsp_graph_reference",
     "candidate_paths",
     "connectivity_matrix_loop",
     "extract_node_features_reference",
@@ -42,5 +50,8 @@ __all__ = [
     "iddfs_single_source",
     "min_cost_assignment_ssp",
     "netlist_problems_loop",
+    "netlist_to_digraph",
+    "netlist_to_graph",
+    "prune_control_dsps_reference",
     "refine_sites_reference",
 ]

@@ -1,5 +1,6 @@
-"""Pure-Python oracles for datapath extraction: networkx node features and
-the paper's per-source iterative-deepening DSP path search."""
+"""Pure-Python oracles for datapath extraction: networkx node features,
+the paper's per-source iterative-deepening DSP path search, and the
+networkx DSP graph with its control pruning."""
 
 from __future__ import annotations
 
@@ -9,9 +10,9 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from repro.core.extraction.features import FEATURE_NAMES, FeatureConfig, _sampled_closeness
-from repro.core.extraction.iddfs import DSPPath
-from repro.netlist.graph import netlist_to_digraph
+from repro.core.extraction.iddfs import DSPPath, iddfs_dsp_paths
 from repro.netlist.netlist import Netlist
+from tests.oracles.netlist import netlist_to_digraph
 
 
 def _unweighted_csr_nx(g, n: int) -> sp.csr_matrix:
@@ -160,3 +161,36 @@ def iddfs_dsp_paths_reference(
             out.append(DSPPath(src=src, dst=dst, dist=dist, n_storage=storage))
     out.sort(key=lambda p: (p.src, p.dst))
     return out
+
+
+def build_dsp_graph_reference(
+    netlist: Netlist,
+    paths: list[DSPPath] | None = None,
+    max_depth: int = 6,
+    max_fanout: int = 16,
+) -> nx.DiGraph:
+    """:func:`repro.core.extraction.build_dsp_graph` as a networkx DiGraph."""
+    if paths is None:
+        paths = iddfs_dsp_paths(netlist, max_depth=max_depth, max_fanout=max_fanout)
+    best: dict[tuple[int, int], DSPPath] = {}
+    for p in paths:
+        key = (p.src, p.dst)
+        if key not in best or (p.dist, p.n_storage) < (best[key].dist, best[key].n_storage):
+            best[key] = p
+    g = nx.DiGraph()
+    for idx in netlist.dsp_indices():
+        g.add_node(idx, name=netlist.cells[idx].name)
+    for p in best.values():
+        g.add_edge(p.src, p.dst, dist=p.dist, n_storage=p.n_storage, weight=1.0 / p.dist)
+    for pred, succ in netlist.cascade_pairs():
+        if g.has_edge(pred, succ):
+            g[pred][succ]["cascade"] = True
+        else:
+            g.add_edge(pred, succ, dist=1, n_storage=0, weight=1.0, cascade=True)
+    return g
+
+
+def prune_control_dsps_reference(dsp_graph: nx.DiGraph, datapath_flags: dict[int, bool]) -> nx.DiGraph:
+    """:func:`repro.core.extraction.prune_control_dsps` on networkx."""
+    keep = [n for n in dsp_graph.nodes if datapath_flags.get(n, False)]
+    return dsp_graph.subgraph(keep).copy()

@@ -1,15 +1,38 @@
-"""Per-net loop oracles: the clique/star connectivity matrix and the
-validation problem list."""
+"""Per-net loop oracles: the networkx graph views of a netlist, the
+clique/star connectivity matrix and the validation problem list."""
 
 from __future__ import annotations
 
 import math
 from collections import Counter
 
+import networkx as nx
 import numpy as np
 import scipy.sparse as sp
 
 from repro.netlist.netlist import Netlist
+
+
+def netlist_to_digraph(netlist: Netlist) -> nx.DiGraph:
+    """Directed driver→sink multigraph collapsed to a weighted DiGraph.
+
+    Parallel connections accumulate in the edge ``weight``. Node ids are cell
+    indices; each node carries its ``ctype``.
+    """
+    g = nx.DiGraph()
+    for cell in netlist.cells:
+        g.add_node(cell.index, ctype=cell.ctype, name=cell.name)
+    for u, v, w in netlist.iter_edges():
+        if g.has_edge(u, v):
+            g[u][v]["weight"] += w
+        else:
+            g.add_edge(u, v, weight=w)
+    return g
+
+
+def netlist_to_graph(netlist: Netlist) -> nx.Graph:
+    """Undirected weighted graph view (centralities, shortest paths)."""
+    return netlist_to_digraph(netlist).to_undirected(reciprocal=False)
 
 
 def connectivity_matrix_loop(

@@ -324,7 +324,7 @@ class TestAssignmentSkewTerm:
             nl,
             device,
             graph,
-            sorted(graph.nodes),
+            graph.nodes.tolist(),
             AssignmentConfig(skew_weight=skew_weight),
             skew_model=model,
         )

@@ -130,7 +130,7 @@ class TestOnGeneratedDesign:
         graph = build_dsp_graph(mini_accel, paths)
         flags = {i: bool(mini_accel.cells[i].is_datapath) for i in mini_accel.dsp_indices()}
         dgraph = prune_control_dsps(graph, flags)
-        dsps = sorted(dgraph.nodes)
+        dsps = dgraph.nodes.tolist()
         from repro.placers import VivadoLikePlacer
 
         place = VivadoLikePlacer(seed=0, device=small_dev).place(mini_accel)

@@ -136,7 +136,7 @@ def assigner(mini_accel, small_dev):
     graph = build_dsp_graph(mini_accel, paths)
     flags = {i: bool(mini_accel.cells[i].is_datapath) for i in mini_accel.dsp_indices()}
     dgraph = prune_control_dsps(graph, flags)
-    dsps = sorted(dgraph.nodes)
+    dsps = dgraph.nodes.tolist()
     return DatapathDSPAssigner(
         mini_accel, small_dev, dgraph, dsps, AssignmentConfig(max_iterations=6)
     )
@@ -180,9 +180,7 @@ class TestVectorizedEquivalence:
         where the canonical accounting equals the old halved one."""
         paths = iddfs_dsp_paths(mini_accel)
         graph = build_dsp_graph(mini_accel, paths)
-        dsps = sorted(
-            d for d in graph.nodes if mini_accel.cells[d].is_datapath
-        )
+        dsps = [d for d in graph.nodes.tolist() if mini_accel.cells[d].is_datapath]
         a = DatapathDSPAssigner(
             mini_accel,
             small_dev,
@@ -204,7 +202,7 @@ class TestVectorizedEquivalence:
         must track the rescaled neighbour weights."""
         paths = iddfs_dsp_paths(mini_accel)
         graph = build_dsp_graph(mini_accel, paths)
-        dsps = sorted(d for d in graph.nodes if mini_accel.cells[d].is_datapath)
+        dsps = [d for d in graph.nodes.tolist() if mini_accel.cells[d].is_datapath]
         a = DatapathDSPAssigner(mini_accel, small_dev, graph, dsps)
         rng = np.random.default_rng(42)
         slack = rng.uniform(-2.0, 8.0, size=len(mini_accel.cells))
@@ -353,7 +351,7 @@ class TestConfigValidation:
     def test_solve_with_one_iteration_allowed(self, mini_accel, small_dev):
         paths = iddfs_dsp_paths(mini_accel)
         graph = build_dsp_graph(mini_accel, paths)
-        dsps = sorted(d for d in graph.nodes if mini_accel.cells[d].is_datapath)
+        dsps = [d for d in graph.nodes.tolist() if mini_accel.cells[d].is_datapath]
         a = DatapathDSPAssigner(
             mini_accel, small_dev, graph, dsps, AssignmentConfig(max_iterations=1)
         )

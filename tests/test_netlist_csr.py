@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.netlist import CellType, Netlist, build_csr, get_csr, netlist_to_digraph
+from repro.netlist import CellType, Netlist, build_csr, get_csr
 from repro.netlist.csr import CELL_TYPE_CODES, SITE_KIND_CODES
+from tests.oracles import netlist_to_digraph
 
 
 @pytest.fixture()

@@ -1,12 +1,13 @@
-"""Unit tests for netlist graph views."""
+"""Unit tests for the connectivity matrix and the networkx graph views of a
+netlist (test oracles)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netlist import CellType, Netlist, connectivity_matrix, netlist_to_digraph, netlist_to_graph
-from tests.oracles import connectivity_matrix_loop
+from repro.netlist import CellType, Netlist, connectivity_matrix
+from tests.oracles import connectivity_matrix_loop, netlist_to_digraph, netlist_to_graph
 
 
 @pytest.fixture()

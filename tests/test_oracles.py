@@ -15,15 +15,21 @@ import numpy as np
 import pytest
 
 import repro.accelgen.generator as generator_mod
+import repro.core.extraction.dsp_graph as dsp_graph_mod
 import repro.core.extraction.features as features_mod
 import repro.core.extraction.iddfs as iddfs_mod
-import repro.netlist.graph as graph_mod
+import repro.netlist.csr as csr_mod
 import repro.netlist.validate as validate_mod
 import repro.placers.analytical as analytical_mod
 import repro.placers.detailed as detailed_mod
 import repro.solvers.mcf as mcf_mod
 from repro.accelgen import AcceleratorConfig, generate_accelerator
-from repro.core.extraction import extract_node_features, iddfs_dsp_paths
+from repro.core.extraction import (
+    build_dsp_graph,
+    extract_node_features,
+    iddfs_dsp_paths,
+    prune_control_dsps,
+)
 from repro.placers import Legalizer, Placement, QuadraticGlobalPlacer, refine_sites
 from repro.router.pattern_router import PatternRouter
 from repro.solvers import min_cost_assignment
@@ -33,6 +39,7 @@ from tests.oracles import (
     ReferencePatternRouter,
     ReferenceSpreadPlacer,
     ReferenceSTA,
+    build_dsp_graph_reference,
     connectivity_matrix_loop,
     extract_node_features_reference,
     generate_accelerator_reference,
@@ -40,6 +47,7 @@ from tests.oracles import (
     iddfs_dsp_paths_reference,
     min_cost_assignment_ssp,
     netlist_problems_loop,
+    prune_control_dsps_reference,
     refine_sites_reference,
 )
 
@@ -57,6 +65,10 @@ def _spread_args(p: Placement):
 _ARCS = [(0, 0, 3.0), (0, 1, 1.0), (1, 0, 1.0), (1, 2, 5.0), (2, 1, 2.0), (2, 2, 4.0)]
 _COST = np.array([[3.0, 1.0, 9.0], [1.0, 9.0, 5.0], [9.0, 2.0, 4.0]])
 _ACCEL = AcceleratorConfig("oracle", 24, 4, 2, 300, 20, 300, 12, 150.0)
+
+
+def _datapath_flags(p: Placement) -> dict[int, bool]:
+    return {i: bool(p.netlist.cells[i].is_datapath) for i in p.netlist.dsp_indices()}
 
 
 class OracleCase(NamedTuple):
@@ -111,9 +123,17 @@ CASES = [
         lambda p: extract_node_features_reference(p.netlist),
     ),
     OracleCase(
+        "dsp_graph",
+        [(dsp_graph_mod, "_dedupe_paths"), (dsp_graph_mod, "DSPGraph")],
+        lambda p: prune_control_dsps(build_dsp_graph(p.netlist), _datapath_flags(p)),
+        lambda p: prune_control_dsps_reference(
+            build_dsp_graph_reference(p.netlist), _datapath_flags(p)
+        ),
+    ),
+    OracleCase(
         "connectivity",
-        [(graph_mod, "connectivity_matrix")],
-        lambda p: graph_mod.connectivity_matrix(p.netlist),
+        [(csr_mod, "connectivity_matrix")],
+        lambda p: csr_mod.connectivity_matrix(p.netlist),
         lambda p: connectivity_matrix_loop(p.netlist),
     ),
     OracleCase(

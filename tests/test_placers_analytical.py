@@ -12,7 +12,7 @@ from repro import obs
 from repro.errors import SolverConvergenceError
 from repro.netlist import CellType
 from repro.netlist.csr import get_csr
-from repro.netlist.graph import connectivity_matrix
+from repro.netlist.csr import connectivity_matrix
 from repro.placers import GlobalPlaceConfig, Placement, QuadraticGlobalPlacer
 from repro.placers import analytical
 from repro.placers.analytical import (

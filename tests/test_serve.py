@@ -3,10 +3,13 @@
 import pytest
 
 from repro.accelgen import generate_suite
+from repro.clock import get_skew_model
 from repro.errors import JobCancelledError, ServeError
+from repro.fpga import fabric_device
 from repro.netlist import CascadeMacro, CellType, netlist_from_json, netlist_to_json
 from repro.obs import SCHEMA_VERSION, validate_report
 from repro.placers.api import PlacementRequest
+from repro.router import GlobalRouter
 from repro.serve import (
     CacheEntry,
     PlacementServer,
@@ -15,6 +18,7 @@ from repro.serve import (
     device_id,
     netlist_content_hash,
 )
+from repro.timing import StaticTimingAnalyzer, max_frequency
 
 #: one outer iteration keeps each worker placement well under a second
 FAST = {"outer_iterations": 1}
@@ -328,3 +332,27 @@ class TestBaselineTools:
         resp.raise_for_status()
         assert resp.quality["legal"]
         assert resp.report["meta"]["tool"] == tool
+
+
+class TestSignOff:
+    @pytest.mark.parametrize("skew_model", ["region", "zero", "htree"])
+    def test_quality_matches_cli_sign_off(self, skew_model):
+        """A ``with_timing`` job signs off under the request's skew model,
+        as ``repro place`` does: its quality equals routing and timing the
+        returned placement here."""
+        device = fabric_device("slot_fabric", 0.02)
+        netlist = generate_suite("ismartdnn", scale=0.02, device=device, seed=0)
+        request = fast_request(
+            fabric="slot_fabric", with_timing=True, config={**FAST, "skew_model": skew_model}
+        )
+        with PlacementServer(workers=1) as srv:
+            resp = srv.submit(request, netlist=netlist, device=device).result(timeout=120)
+        resp.raise_for_status()
+        placement = resp.placement
+        route = GlobalRouter().route(placement)
+        sta = StaticTimingAnalyzer(netlist, skew_model=get_skew_model(skew_model, device))
+        rep = sta.analyze(placement, route)
+        assert resp.quality["routed_wl_um"] == route.total_wirelength
+        assert resp.quality["wns_ns"] == rep.wns_ns
+        assert resp.quality["tns_ns"] == rep.tns_ns
+        assert resp.quality["fmax_mhz"] == max_frequency(sta, placement, route)

@@ -5,12 +5,21 @@
 they judge the product's LAPJVsp path.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
+import repro
+import repro.solvers.mcf as mcf_mod
+from repro.errors import SolverInfeasibleError
 from repro.solvers import min_cost_assignment
 from tests.oracles import MinCostFlow, hungarian, min_cost_assignment_ssp
 
@@ -176,6 +185,68 @@ def test_mcf_matches_hungarian(data):
     got = sum(cost[i, asg[i]] for i in range(n))
     _, ref = hungarian(cost)
     assert got == pytest.approx(ref, abs=1e-6)
+
+
+#: What ``test_mcf_matches_hungarian`` draws under ``--hypothesis-seed=6``:
+#: rows 0 and 3 are equal, the minimum is -19.999999999999996, and three
+#: costs lie within 1e-238 of zero (one of them subnormal). LAPJVsp given
+#: these costs as floats never returned.
+_SPINNING_COST = [
+    [10.0, -2.438500606728301, 11.872925376366837, 7.413167408113267,
+     -1.742778957482533e-239, 1.976336852078532],
+    [-12.288019186701929, -8.277628162610283, 13.979482324871412, 1.976336852078532,
+     -12.288019186701929, 14.467908435250195],
+    [0.6256139106884859, -3.080562233670193, 16.07170106382793, 16.486479040879033,
+     -8.22646766682041, -2.225073858507e-311],
+    [10.0, -2.438500606728301, 11.872925376366837, 7.413167408113267,
+     -1.742778957482533e-239, 1.976336852078532],
+    [-6.825035419027914, 2.729981677630829e-60, 11.100880745396672, -9.908980888676238,
+     -3.0551796060395484e-28, 15.0],
+    [-19.999999999999996, -8.277628162610283, 13.979482324871412, 1.976336852078532,
+     -12.288019186701929, 14.467908435250195],
+]
+
+
+def test_lapjvsp_terminates_on_captured_matrix():
+    """The solve runs in a child process, so a spinning solver fails the
+    test at the timeout instead of hanging the suite."""
+    code = (
+        "import json\n"
+        "from repro.solvers import min_cost_assignment\n"
+        f"cost = {_SPINNING_COST!r}\n"
+        "arcs = [(i, j, c) for i, row in enumerate(cost) for j, c in enumerate(row)]\n"
+        "print(json.dumps(min_cost_assignment(6, 6, arcs)))\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=60,
+    )
+    asg = {int(k): v for k, v in json.loads(out.stdout).items()}
+    assert sorted(asg) == list(range(6)) and sorted(asg.values()) == list(range(6))
+    cost = np.array(_SPINNING_COST)
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    assert sum(cost[i, j] for i, j in asg.items()) == pytest.approx(
+        cost[rows, cols].sum(), abs=1e-9
+    )
+
+
+class TestCostsTooWideForIntegers:
+    """Costs so wide that ``n_agents · max(cost) >= 2**53`` at scale 1 skip
+    LAPJVsp for the dense Hungarian solve."""
+
+    def test_dense_solve_is_optimal(self, monkeypatch):
+        def _unreachable(*args, **kwargs):
+            raise AssertionError("LAPJVsp ran on costs it cannot scale")
+
+        monkeypatch.setattr(mcf_mod.csgraph, "min_weight_full_bipartite_matching", _unreachable)
+        arcs = [(0, 0, 3e16), (0, 1, 1e16), (1, 0, 1e16), (1, 1, 4e16), (1, 2, -5e15)]
+        assert min_cost_assignment(2, 3, arcs) == {0: 1, 1: 2}
+
+    def test_dense_infeasible_raises(self):
+        with pytest.raises(SolverInfeasibleError, match="infeasible"):
+            min_cost_assignment(2, 2, [(0, 0, 1e17), (1, 0, 2e17)])
 
 
 @settings(max_examples=60, deadline=None)
