@@ -65,6 +65,7 @@ from repro.obs import active as obs_active
 from repro.obs import metrics, trace
 from repro.obs.report import RunReport
 from repro.placers.amf_like import AMFLikePlacer
+from repro.placers.analytical import GlobalPlaceConfig, QuadraticGlobalPlacer
 from repro.placers.placement import Placement
 from repro.placers.vivado_like import VivadoLikePlacer
 from repro.robustness import RunHealth, SolverGuard, maybe_fault
@@ -272,17 +273,17 @@ class DSPlacerResult:
             spans=spans,
             metrics={"counters": {}, "gauges": gauges, "histograms": {}},
             health=self.health.to_dict(),
-            quality=self._quality(),
+            quality=self._quality(self.placement.is_legal(), self.placement.hpwl()),
         )
 
     def to_dict(self, meta: dict | None = None) -> dict:
         """JSON-ready view of the result (the RunReport document)."""
         return self.to_report(meta=meta).to_dict()
 
-    def _quality(self) -> dict:
+    def _quality(self, legal: bool, hpwl_um: float) -> dict:
         return {
-            "legal": bool(self.placement.is_legal()),
-            "hpwl_um": float(self.placement.hpwl()),
+            "legal": bool(legal),
+            "hpwl_um": float(hpwl_um),
             "n_datapath_dsps": int(self.n_datapath_dsps),
             "dsp_graph_nodes": int(self.dsp_graph_nodes),
             "dsp_graph_edges": int(self.dsp_graph_edges),
@@ -368,11 +369,12 @@ class DSPlacer:
             base_placer=cfg.base_placer,
             engine=cfg.assignment_engine,
         ) as root:
-            result = self._place_flow(netlist, initial_placement, sample)
+            result, checked = self._place_flow(netlist, initial_placement, sample)
             root.set(degraded=result.health.degraded)
         ob = obs_active()
         if ob is not None:
-            metrics.gauge("placement.hpwl_um", float(result.placement.hpwl()))
+            _, legal, hpwl = _verdict(result.placement, checked)
+            metrics.gauge("placement.hpwl_um", hpwl)
             result.report = ob.report(
                 meta={
                     "tool": "dsplacer",
@@ -380,7 +382,7 @@ class DSPlacer:
                     "config": cfg.to_dict(),
                 },
                 health=result.health.to_dict(),
-                quality=result._quality(),
+                quality=result._quality(legal, hpwl),
             )
             if cfg.skew_model != "region" or cfg.skew_weight > 0:
                 # non-default clocking: record the versioned clock section
@@ -397,13 +399,15 @@ class DSPlacer:
         netlist: Netlist,
         initial_placement: Placement | None,
         sample: GraphSample | None,
-    ) -> DSPlacerResult:
+    ) -> tuple[DSPlacerResult, tuple[Placement, bool, float] | None]:
+        """The flow, and the last :func:`_verdict` it took, if any."""
         cfg = self.config
         phases: dict[str, float] = {}
         health = RunHealth()
 
         # 0. input validation (strict raises; permissive downgrades)
-        problems = netlist_problems(netlist, self.device)
+        with trace.span("place.validation"):
+            problems = netlist_problems(netlist, self.device)
         if problems:
             if cfg.strict:
                 raise NetlistValidationError(
@@ -460,7 +464,7 @@ class DSPlacer:
             phases["dsp_placement"] = 0.0
             phases["other_placement"] = 0.0
             result.phase_seconds = phases
-            return result
+            return result, None
 
         engine = cfg.assignment_engine
         if engine == "auto":
@@ -484,6 +488,10 @@ class DSPlacer:
             skew_model=skew,
         )
         legalizer = CascadeLegalizer(netlist, self.device)
+        # one engine for every Fig. 6 pass: they share one clique system
+        replacer = QuadraticGlobalPlacer(
+            GlobalPlaceConfig(n_iterations=3, avoid_ps=True, seed=cfg.seed)
+        )
         site_xy = self.device.site_xy("DSP")
         dsp_cells = get_csr(netlist).dsp_indices.tolist()
         t_dsp = 0.0
@@ -493,9 +501,10 @@ class DSPlacer:
         # target on stage failure / budget overrun / final regression)
         best: Placement | None = None
         best_hpwl = np.inf
-        if placement.is_legal():
+        checked = _verdict(placement)
+        if checked[1]:
             best = placement.copy()
-            best_hpwl = placement.hpwl()
+            best_hpwl = checked[2]
 
         # 3. incremental datapath-driven placement (Fig. 6)
         sta = None
@@ -564,7 +573,7 @@ class DSPlacer:
                                 self.device,
                                 placement,
                                 datapath_dsps,
-                                seed=cfg.seed,
+                                replacer,
                             )
                         t_other += time.perf_counter() - t0
                 except ReproError as exc:
@@ -580,11 +589,13 @@ class DSPlacer:
                     placement = best.copy()
                     break
 
-            if placement.is_legal():
-                hpwl = placement.hpwl()
-                if hpwl < best_hpwl:
-                    best = placement.copy()
-                    best_hpwl = hpwl
+            # always a fresh check: the iteration may have moved sites of
+            # the very object checked before it
+            checked = _verdict(placement)
+            _, legal, hpwl = checked
+            if legal and hpwl < best_hpwl:
+                best = placement.copy()
+                best_hpwl = hpwl
             if budget_hit:
                 # the stage budget truncated this iteration's work; stop
                 # alternating and keep what is legal so far
@@ -602,24 +613,38 @@ class DSPlacer:
         # HPWL-regression half of the guard only applies when wirelength is
         # the flow's sole objective — a skew-weighted run deliberately
         # trades HPWL for clock-tap alignment, and the wirelength yardstick
-        # would revert every such trade.
+        # would revert every such trade. The last iteration's verdict holds
+        # while ``placement`` is still the object it checked: nothing moves
+        # a site after that check, and a rollback or cancel made a copy.
         if best is not None and not cfg.strict:
-            final_legal = placement.is_legal()
-            final_hpwl = placement.hpwl() if final_legal else np.inf
-            hpwl_is_objective = cfg.skew_weight == 0
-            if not final_legal or (
-                hpwl_is_objective and final_hpwl > best_hpwl * (1.0 + 1e-12)
-            ):
-                reason = (
-                    f"final placement HPWL {final_hpwl:.4g} regressed past "
-                    f"best-so-far {best_hpwl:.4g}"
-                    if final_legal
-                    else "final placement is not legal"
-                )
-                health.record("pipeline", "rollback", f"{reason}; rolled back")
-                health.degraded = True
-                placement = best.copy()
+            with trace.span("place.selection"):
+                checked = _verdict(placement, checked)
+                _, final_legal, final_hpwl = checked
+                hpwl_is_objective = cfg.skew_weight == 0
+                if not final_legal or (
+                    hpwl_is_objective and final_hpwl > best_hpwl * (1.0 + 1e-12)
+                ):
+                    reason = (
+                        f"final placement HPWL {final_hpwl:.4g} regressed past "
+                        f"best-so-far {best_hpwl:.4g}"
+                        if final_legal
+                        else "final placement is not legal"
+                    )
+                    health.record("pipeline", "rollback", f"{reason}; rolled back")
+                    health.degraded = True
+                    placement = best.copy()
 
         result.placement = placement
         result.phase_seconds = phases
-        return result
+        return result, checked
+
+
+def _verdict(
+    placement: Placement, last: tuple[Placement, bool, float] | None = None
+) -> tuple[Placement, bool, float]:
+    """``(placement, legal, hpwl)``: ``last`` when it was taken of this very
+    object, else a fresh legality check and HPWL. Reuse is exact only while
+    nothing has changed the placement since ``last`` was taken."""
+    if last is not None and last[0] is placement:
+        return last
+    return placement, placement.is_legal(), placement.hpwl()

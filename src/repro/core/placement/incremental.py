@@ -13,7 +13,7 @@ from repro.fpga.device import Device
 from repro.netlist.csr import get_csr
 from repro.netlist.netlist import Netlist
 from repro.obs import metrics
-from repro.placers.analytical import GlobalPlaceConfig, QuadraticGlobalPlacer
+from repro.placers.analytical import QuadraticGlobalPlacer
 from repro.placers.detailed import refine_sites
 from repro.placers.legalizer import Legalizer
 from repro.placers.placement import Placement
@@ -24,23 +24,22 @@ def replace_other_components(
     device: Device,
     placement: Placement,
     frozen_dsps: list[int],
-    n_iterations: int = 3,
-    seed: int = 0,
+    engine: QuadraticGlobalPlacer,
 ) -> Placement:
     """Re-place every movable cell except the frozen datapath DSPs.
 
     The frozen DSPs keep their legalized sites and act as fixed anchors for
     the quadratic solve; everything else (logic, BRAM, control DSPs) is
-    globally re-placed, legalized around them and locally refined.
+    globally re-placed by ``engine``, legalized around them and locally
+    refined with the engine's seed. DSPlacer hands every pass the same
+    engine, which builds the clique system once while the frozen set and
+    the net weights stay the same.
     """
     movable = ~get_csr(netlist).is_fixed
     movable[list(frozen_dsps)] = False
     metrics.inc("incremental.replaces")
     metrics.gauge("incremental.frozen_dsps", len(frozen_dsps))
-    engine = QuadraticGlobalPlacer(
-        GlobalPlaceConfig(n_iterations=n_iterations, avoid_ps=True, seed=seed)
-    )
     place = engine.place(netlist, device, placement=placement, movable_mask=movable)
     Legalizer(device).legalize(place, movable_mask=movable)
-    refine_sites(place, passes=1, movable_mask=movable, seed=seed)
+    refine_sites(place, passes=1, movable_mask=movable, seed=engine.config.seed)
     return place

@@ -343,12 +343,14 @@ class Netlist:
     def movable_indices(self) -> list[int]:
         return [i for i, xy in enumerate(self._cxy) if xy is None]
 
-    def fixed_cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """Indices of the cells with a ``fixed_xy``, and those ``(k, 2)``
-        locations in µm, read live from the column."""
-        idx = [i for i, xy in enumerate(self._cxy) if xy is not None]
-        xy = np.array([self._cxy[i] for i in idx], dtype=np.float64).reshape(-1, 2)
-        return np.array(idx, dtype=np.int64), xy
+    def fixed_cells(self, cells: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of the cells with a ``fixed_xy`` (or the given fixed
+        ``cells``), and those ``(k, 2)`` locations in µm, read live from the
+        column."""
+        xy = self._cxy
+        if cells is None:
+            cells = np.array([i for i, p in enumerate(xy) if p is not None], dtype=np.int64)
+        return cells, np.array([xy[i] for i in cells.tolist()], dtype=np.float64).reshape(-1, 2)
 
     def net_weights(self, nets: np.ndarray | None = None) -> np.ndarray:
         """Net weights read live from the weight column: every net's, or

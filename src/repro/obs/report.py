@@ -34,8 +34,8 @@ region-skew model omit it; a ``clock`` section requires
 ``schema_version >= 3``.
 
 :func:`validate_report` is the schema checker (no external jsonschema
-dependency); ``python -m repro.obs.report FILE...`` validates saved reports
-and exits non-zero on the first violation — CI uses exactly that.
+dependency); ``python -m repro.obs FILE...`` validates saved reports
+and exits 1 when any of them is invalid — CI uses exactly that.
 """
 
 from __future__ import annotations
@@ -383,7 +383,7 @@ def _main(argv: list[str] | None = None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.report",
+        prog="python -m repro.obs",
         description="validate RunReport JSON files against the schema",
     )
     parser.add_argument("paths", nargs="+", help="RunReport JSON file(s)")
@@ -405,7 +405,3 @@ def _main(argv: list[str] | None = None) -> int:
         else:
             print(f"{path}: ok (schema v{doc['schema_version']})")
     return rc
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(_main())

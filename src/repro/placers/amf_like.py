@@ -71,7 +71,8 @@ class AMFLikePlacer:
         device = bound_device(self)
         run_seed = self.seed if seed is None else seed
         with trace.span("placer.amf"):
-            engine = QuadraticGlobalPlacer(
+            # a temporary engine: its clique system is freed before legalization
+            place = QuadraticGlobalPlacer(
                 GlobalPlaceConfig(
                     n_iterations=self.n_iterations,
                     avoid_ps=False,  # VCU108 tuning: no PS keep-out
@@ -79,8 +80,7 @@ class AMFLikePlacer:
                     fabric_scale=self.fabric_scale,
                     seed=run_seed,
                 )
-            )
-            place = engine.place(netlist, device, placement=placement, movable_mask=movable_mask)
+            ).place(netlist, device, placement=placement, movable_mask=movable_mask)
             # mixed-size packing: rigid macros collapse onto their centroid so
             # the legalizer stacks each chain as compactly as possible
             for macro in netlist.macros:

@@ -110,8 +110,8 @@ class ChainElimination:
 
     The structure depends only on the sparsity pattern, and a diagonal
     shift keeps it: one instance solves every system ``a + shift·I``. The
-    placer builds it once per ``place`` call; its solves differ only in the
-    anchor weight.
+    placer's solves differ only in the anchor weight, so one instance serves
+    every solve on one clique system (see ``QuadraticGlobalPlacer``).
     """
 
     def __init__(self, a: sp.csr_matrix) -> None:
@@ -330,10 +330,13 @@ class GlobalPlaceConfig:
 
 
 class QuadraticGlobalPlacer:
-    """Reusable quadratic global placement engine."""
+    """Reusable quadratic global placement engine; it reuses its last call's
+    clique system on an identical call (:meth:`_clique_system`)."""
 
     def __init__(self, config: GlobalPlaceConfig | None = None) -> None:
         self.config = config or GlobalPlaceConfig()
+        #: ``(key, system)`` of the last call; see :meth:`_clique_system`
+        self._system: tuple | None = None
 
     # ------------------------------------------------------------------
     def place(
@@ -376,28 +379,17 @@ class QuadraticGlobalPlacer:
             movable_mask = ~ctx.is_fixed
         else:
             movable_mask = np.asarray(movable_mask, dtype=bool) & ~ctx.is_fixed
-        mov = np.flatnonzero(movable_mask)
-        if mov.size == 0:
+        if not movable_mask.any():
             return place
 
-        w = connectivity_matrix(netlist, use_net_weights=cfg.use_net_weights)
-        deg = np.asarray(w.sum(axis=1)).ravel()
-        lap = sp.diags(deg) - w
-        lap_mm = lap[mov][:, mov].tocsr()
-        fix = np.flatnonzero(~movable_mask)
-        w_mf = w[mov][:, fix].tocsr()
-
+        mov, fix, w_mf, elim = self._clique_system(netlist, ctx.version, movable_mask)
+        place_span.set(cells=int(mov.size), core_cells=int(elim.hubs.size))
         areas = _AREA_OF[ctx.ctype_code[mov]]
         rng = np.random.default_rng(cfg.seed)
         # tiny jitter breaks exact ties so the spreading has gradients to use
         xy_f = place.xy[fix]
         start = place.xy[mov]
         rhs_fixed = w_mf @ xy_f + SOLVE_EPS * start
-
-        # one chain structure for every clique solve of this call: their
-        # systems differ only in the anchor weight on the diagonal
-        elim = ChainElimination(lap_mm + sp.diags(np.full(mov.size, SOLVE_EPS)))
-        place_span.set(cells=int(mov.size), core_cells=int(elim.hubs.size))
 
         def _solve(alpha: float, target: np.ndarray | None) -> tuple[np.ndarray, int]:
             rhs = rhs_fixed if target is None else rhs_fixed + alpha * target
@@ -423,6 +415,40 @@ class QuadraticGlobalPlacer:
         pos = self._spread(pos, areas, device)
         place.xy[mov] = pos
         return place
+
+    def _clique_system(
+        self, netlist: Netlist, version: int, movable_mask: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix, ChainElimination]:
+        """``(mov, fix, w_mf, elim)``: the movable and fixed cell indices,
+        the movable-to-fixed block of the connectivity matrix, and the
+        :class:`ChainElimination` of ``L_mm + εI``. The last call's system is
+        reused when the netlist object, its revision, the movable mask and
+        the live net weights (if used) all equal its inputs; else rebuilt."""
+        use_weights = self.config.use_net_weights
+        weights = netlist.net_weights() if use_weights else None
+        mask = movable_mask.tobytes()
+        if self._system is not None:
+            (last_nl, last_version, last_mask, last_weights), system = self._system
+            if (
+                last_nl is netlist
+                and last_version == version
+                and last_mask == mask
+                and (not use_weights or np.array_equal(last_weights, weights))
+            ):
+                return system
+        metrics.inc("global_place.system_builds")
+        mov = np.flatnonzero(movable_mask)
+        fix = np.flatnonzero(~movable_mask)
+        w = connectivity_matrix(netlist, use_net_weights=use_weights)
+        deg = np.asarray(w.sum(axis=1)).ravel()
+        lap_mm = (sp.diags(deg) - w)[mov][:, mov].tocsr()
+        w_mf = w[mov][:, fix].tocsr()
+        # one chain structure for every clique solve: their systems differ
+        # only in the anchor weight on the diagonal
+        elim = ChainElimination(lap_mm + sp.diags(np.full(mov.size, SOLVE_EPS)))
+        system = (mov, fix, w_mf, elim)
+        self._system = ((netlist, version, mask, weights), system)
+        return system
 
     # ------------------------------------------------------------------
     def _spread(self, pos: np.ndarray, areas: np.ndarray, device: Device) -> np.ndarray:

@@ -72,10 +72,10 @@ class Placement:
     # ------------------------------------------------------------------
     def _legality_arrays(self) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
         """(fixed_idx, fixed_xy, {kind: placeable cell indices}): the fixed
-        cells from the netlist's column, the kinds from the cached
-        :class:`~repro.netlist.csr.NetlistCSR` masks."""
+        cells and kinds from the cached :class:`~repro.netlist.csr.NetlistCSR`
+        masks, the fixed locations read live from the netlist's column."""
         ctx = get_csr(self.netlist)
-        fixed_idx, fixed_xy = self.netlist.fixed_cells()
+        fixed_idx, fixed_xy = self.netlist.fixed_cells(np.flatnonzero(ctx.is_fixed))
         placeable = ~ctx.is_fixed
         kind_idx = {
             kind: np.flatnonzero(placeable & (ctx.site_code == SITE_KIND_CODES.index(kind)))
@@ -122,11 +122,11 @@ class Placement:
                 by_cell.append(
                     (int(i), f"{cells[int(i)].name}: xy out of sync with site {int(s)}")
                 )
-            uniq, first, counts = np.unique(
-                good_sid, return_index=True, return_counts=True
-            )
-            over = counts > cap
-            if over.any():
+            if np.bincount(good_sid).max() > cap:
+                uniq, first, counts = np.unique(
+                    good_sid, return_index=True, return_counts=True
+                )
+                over = counts > cap
                 # first-seen (ascending-cell) order, matching the loop version
                 order = np.argsort(first[over], kind="stable")
                 for s, cnt in zip(uniq[over][order], counts[over][order]):
@@ -137,10 +137,11 @@ class Placement:
         out = [msg for _, msg in by_cell]
         out.extend(cap_msgs)
         dsp_sites = dev.sites("DSP")
+        n_dsp = dev.n_sites("DSP")
         for macro in nl.macros:
             sids = [int(self.site[i]) for i in macro.dsps]
-            if any(s < 0 for s in sids):
-                continue  # already reported above
+            if any(s < 0 or s >= n_dsp for s in sids):
+                continue  # already reported above as unsited
             cols = {dsp_sites[s].col for s in sids}
             if len(cols) != 1:
                 out.append(f"macro {macro.macro_id} spans columns {sorted(cols)}")

@@ -153,10 +153,10 @@ class VivadoLikePlacer:
             return place
 
     def _one_pass(self, netlist, device, placement, movable_mask, seed) -> Placement:
-        engine = QuadraticGlobalPlacer(
+        # a temporary engine: its clique system is freed before legalization
+        place = QuadraticGlobalPlacer(
             GlobalPlaceConfig(n_iterations=self.n_iterations, avoid_ps=True, seed=seed)
-        )
-        place = engine.place(netlist, device, placement=placement, movable_mask=movable_mask)
+        ).place(netlist, device, placement=placement, movable_mask=movable_mask)
         if self.pack_ble:
             from repro.placers.packing import apply_packing, pack_lut_ff_pairs
 

@@ -1,14 +1,21 @@
 """DSPlacer facade end-to-end tests on a small device."""
 
+import contextlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.accelgen import generate_suite
 from repro.core import DSPlacer, DSPlacerConfig
 from repro.core.extraction import DatapathIdentifier, build_graph_sample
 from repro.core.placement import replace_other_components
 from repro.errors import ConfigurationError
+from repro.fpga import fabric_device
 from repro.placers.api import PlacementRequest
-from repro.placers import VivadoLikePlacer
+from repro.placers import GlobalPlaceConfig, Placement, QuadraticGlobalPlacer, VivadoLikePlacer
+from repro.robustness import FaultInjector, inject
 from repro.router import GlobalRouter
 from repro.timing import StaticTimingAnalyzer
 
@@ -134,6 +141,49 @@ class TestIncrementalReplace:
         base = VivadoLikePlacer(seed=0, device=small_dev).place(mini_accel)
         frozen = [c.index for c in mini_accel.cells if c.ctype.is_dsp and c.is_datapath]
         before = base.site[frozen].copy()
-        out = replace_other_components(mini_accel, small_dev, base, frozen)
+        engine = QuadraticGlobalPlacer(GlobalPlaceConfig(n_iterations=3))
+        out = replace_other_components(mini_accel, small_dev, base, frozen, engine)
         assert np.array_equal(out.site[frozen], before)
         assert out.is_legal()
+
+
+class TestGuardChecks:
+    """The rollback guard checks legality and HPWL once per placement it
+    sees: the prototype and each outer iteration's result. The final
+    selection and the observed report reuse the last verdict while the
+    placement is that very object, and check a rolled-back copy afresh."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = Counter()
+        for name in ("is_legal", "hpwl"):
+            def spy(self, *args, _name=name, _real=getattr(Placement, name), **kwargs):
+                calls[_name] += 1
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(Placement, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_three_checks_per_cold_place(self, calls, observed):
+        # ismartdnn@0.05 ends on its last iterate: no rollback
+        device = fabric_device("zcu104", 0.05)
+        netlist = generate_suite("ismartdnn", scale=0.05, device=device, seed=0)
+        with obs.observe() if observed else contextlib.nullcontext():
+            result = DSPlacer(device).place(netlist)
+        assert not result.health.degraded
+        assert calls == {"is_legal": 3, "hpwl": 3}
+        if observed:
+            quality = result.report.quality
+            assert quality["legal"] is True
+            assert quality["hpwl_um"] == result.placement.hpwl()
+            assert result.report.metrics["gauges"]["placement.hpwl_um"] == quality["hpwl_um"]
+
+    def test_rollback_copy_checked_again(self, calls, small_dev, mini_accel):
+        fi = FaultInjector().fail_on("incremental", call=2)
+        with inject(fi), obs.observe():
+            result = DSPlacer(small_dev).place(mini_accel)
+        assert result.health.n_rollbacks == 1
+        # prototype, iteration 1, the rolled-back copy at the final selection
+        assert calls == {"is_legal": 3, "hpwl": 3}
+        assert result.report.quality["hpwl_um"] == result.placement.hpwl()

@@ -1,9 +1,14 @@
 """RunReport schema: validation, round-trip, and the full observed flow."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import obs
 from repro.core import DSPlacer
 from repro.errors import ReportSchemaError
@@ -192,6 +197,28 @@ class TestValidation:
         assert validate_cli([str(good)]) == 0
         assert validate_cli([str(good), str(bad)]) == 1
 
+    def test_module_entry_point_runs_without_warnings(self, tmp_path):
+        """``python -m repro.obs FILE...``, as CI runs it, with runpy's
+        RuntimeWarnings turned into errors."""
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(_sample_doc()))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"kind": "nope"}))
+        path = [str(Path(repro.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+
+        def run(*paths):
+            cmd = [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.obs", *paths]
+            return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+
+        ok = run(str(good))
+        assert ok.returncode == 0, ok.stderr
+        assert ok.stdout.strip() == f"{good}: ok (schema v{SCHEMA_VERSION})"
+        assert ok.stderr == ""
+        invalid = run(str(good), str(bad))
+        assert invalid.returncode == 1, invalid.stderr
+        assert f"{bad}: INVALID" in invalid.stdout
+
 
 class TestRoundTrip:
     def test_to_dict_from_dict(self):
@@ -252,6 +279,8 @@ class TestObservedFlow:
             "assignment.iterate",
             "place.legalization",
             "place.incremental",
+            "place.validation",
+            "place.selection",
         ):
             assert required in names, required
         assert len(rep.metric_names()) >= 10

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.accelgen import generate_suite
 from repro.errors import SolverConvergenceError
 from repro.netlist import CellType
 from repro.netlist.csr import get_csr
@@ -133,6 +134,84 @@ def _observed_place(netlist, device, cfg):
     with obs.observe() as ob:
         place = QuadraticGlobalPlacer(cfg).place(netlist, device)
     return place, ob
+
+
+class TestSystemReuse:
+    """An engine reuses its last clique system only on a call with the same
+    netlist object and revision, movable mask and live net weights; with or
+    without reuse, each placement equals a fresh engine's bit for bit."""
+
+    CFG = GlobalPlaceConfig(n_iterations=1, seed=3)
+
+    @pytest.fixture()
+    def accel(self, small_dev):
+        """A fresh netlist: the rebuild cases mutate it."""
+        return generate_suite("ismartdnn", scale=0.02, device=small_dev)
+
+    @staticmethod
+    def _frozen_dsps(netlist):
+        """DSPlacer's incremental mask: every movable cell but the DSPs."""
+        ctx = get_csr(netlist)
+        return ~ctx.is_fixed & ~ctx.is_dsp
+
+    def _place(self, engine, netlist, device, start, mask):
+        """``engine``'s placement, the system builds it made, and a fresh
+        engine's placement of the same call."""
+        with obs.observe() as ob:
+            out = engine.place(netlist, device, placement=start, movable_mask=mask)
+        fresh = QuadraticGlobalPlacer(engine.config).place(
+            netlist, device, placement=start, movable_mask=mask
+        )
+        return out, ob.metrics.counters.get("global_place.system_builds", 0), fresh
+
+    def test_same_call_builds_once(self, accel, small_dev):
+        mask = self._frozen_dsps(accel)
+        start = QuadraticGlobalPlacer(self.CFG).place(accel, small_dev)
+        engine = QuadraticGlobalPlacer(self.CFG)
+        first, builds, fresh = self._place(engine, accel, small_dev, start, mask)
+        assert builds == 1
+        assert np.array_equal(first.xy, fresh.xy)
+        # the second pass warm-starts from the first, as Fig. 6 does
+        second, builds, fresh = self._place(engine, accel, small_dev, first, mask)
+        assert builds == 0
+        assert np.array_equal(second.xy, fresh.xy)
+        assert not np.array_equal(second.xy, first.xy)
+
+    @pytest.mark.parametrize(
+        "change", ["net weight", "mask", "add_cell", "add_net", "netlist object"]
+    )
+    def test_changed_input_rebuilds(self, accel, small_dev, change):
+        # without weights in the key, only the revision tells the added net
+        cfg = self.CFG
+        if change == "add_net":
+            cfg = GlobalPlaceConfig(n_iterations=1, seed=3, use_net_weights=False)
+        mask = self._frozen_dsps(accel)
+        engine = QuadraticGlobalPlacer(cfg)
+        start = QuadraticGlobalPlacer(cfg).place(accel, small_dev)
+        first, builds, _ = self._place(engine, accel, small_dev, start, mask)
+        assert builds == 1
+
+        netlist = accel
+        movable = np.flatnonzero(mask)
+        if change == "net weight":
+            net = next(n for n in accel.nets if mask[n.driver])
+            net.weight *= 10.0
+        elif change == "mask":
+            mask = mask.copy()
+            mask[movable[0]] = False
+        elif change == "add_cell":
+            lone = accel.add_cell("reuse_lone", CellType.LUT)
+            accel.add_net("reuse_net", int(movable[0]), [lone])
+            mask = self._frozen_dsps(accel)
+        elif change == "add_net":
+            accel.add_net("reuse_net", int(movable[0]), [int(movable[-1])])
+        else:
+            netlist = generate_suite("ismartdnn", scale=0.02, device=small_dev)
+        warm = Placement(netlist, small_dev)
+        warm.xy[: len(first.xy)] = first.xy
+        second, builds, fresh = self._place(engine, netlist, small_dev, warm, mask)
+        assert builds == 1
+        assert np.array_equal(second.xy, fresh.xy)
 
 
 class TestGlobalPlaceConfig:

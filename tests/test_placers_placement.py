@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.placers import Placement
+from repro.core import DSPlacer
+from repro.placers import Placement, VivadoLikePlacer
 
 
 @pytest.fixture()
@@ -138,3 +139,34 @@ class TestLegality:
         ps = tiny_netlist.cell_by_name("ps").index
         place.xy[ps] = (999.0, 999.0)
         assert any("fixed" in s for s in place.legality_violations())
+
+    def test_over_capacity_sites_in_first_seen_order(self, place, tiny_netlist):
+        # the lowest cell on an overfull site decides the order, not the site id
+        for name, site in (("dsp0", 5), ("dsp1", 2), ("dsp2", 5), ("dsp3", 2), ("dsp4", 7)):
+            place.assign_site(tiny_netlist.cell_by_name(name).index, site)
+        held = [m for m in place.legality_violations() if "holds" in m]
+        assert held == ["DSP site 5 holds 2 cells (cap 1)", "DSP site 2 holds 2 cells (cap 1)"]
+
+
+class TestOutOfRangeMacroSite:
+    """A macro member on a site id past the last DSP site is reported as
+    unsited; the macro checks skip its macro instead of indexing past the
+    site list."""
+
+    @pytest.fixture()
+    def broken(self, mini_accel, small_dev):
+        place = VivadoLikePlacer(seed=0, device=small_dev).place(mini_accel)
+        assert place.is_legal()
+        member = mini_accel.macros[0].dsps[1]
+        place.site[member] = small_dev.n_sites("DSP") + 5
+        return place, mini_accel.cells[member].name
+
+    def test_reported_not_raised(self, broken):
+        place, name = broken
+        assert place.legality_violations() == [f"{name}: no legal DSP site"]
+        assert not place.is_legal()
+
+    def test_dsplacer_accepts_it_as_initial_placement(self, broken, mini_accel, small_dev):
+        place, _ = broken
+        result = DSPlacer(small_dev).place(mini_accel, initial_placement=place)
+        assert result.placement.is_legal()

@@ -35,6 +35,7 @@ CASES = [
         "extraction.iddfs.paths": 15,
         "global_place.cg_iterations": 841,
         "global_place.solves": 3,
+        "global_place.system_builds": 2,
         "ilp.nodes_explored": 0,
         "ilp.solves": 2,
         "ilp.variables": 24,
@@ -56,6 +57,7 @@ CASES = [
         "extraction.iddfs.paths": 15,
         "global_place.cg_iterations": 844,
         "global_place.solves": 3,
+        "global_place.system_builds": 2,
         "ilp.nodes_explored": 0,
         "ilp.solves": 2,
         "ilp.variables": 16,
@@ -75,6 +77,7 @@ CASES = [
         "extraction.iddfs.paths": 304,
         "global_place.cg_iterations": 1047,
         "global_place.solves": 3,
+        "global_place.system_builds": 2,
         "ilp.nodes_explored": 2,
         "ilp.solves": 2,
         "ilp.variables": 600,
