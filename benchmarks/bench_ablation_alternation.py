@@ -8,6 +8,7 @@ skeleton; more alternations let it contract. We sweep outer iterations.
 from repro.core import DSPlacer, DSPlacerConfig
 from repro.eval import render_table
 from repro.eval.experiments import get_device, get_netlist
+from repro.eval.profiling import stage_seconds, traced
 from repro.router import GlobalRouter
 from repro.timing import StaticTimingAnalyzer, max_frequency
 
@@ -30,9 +31,9 @@ def test_ablation_alternation(benchmark, settings, emit):
                     identification="oracle", outer_iterations=depth, seed=settings.seed
                 ),
             )
-            res = placer.place(netlist)
+            res, place = traced("place", placer.place, netlist)
             fmax = max_frequency(sta, res.placement, router.route(res.placement))
-            out.append((depth, res.placement.hpwl(), fmax, res.total_seconds))
+            out.append((depth, res.placement.hpwl(), fmax, place.wall_s))
         return out
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
@@ -40,7 +41,7 @@ def test_ablation_alternation(benchmark, settings, emit):
         "ablation_alternation",
         render_table(
             ["outer iters", "HPWL (um)", "f_max (MHz)", "runtime (s)"],
-            [[d, f"{hp:.4g}", f"{f:.0f}", f"{t:.1f}"] for d, hp, f, t in results],
+            [[d, f"{hp:.4g}", f"{f:.0f}", f"{t:.3f}"] for d, hp, f, t in results],
             title="Ablation A5: incremental alternation depth (Fig. 6).",
         ),
     )
@@ -68,9 +69,10 @@ def test_ablation_candidate_window(benchmark, settings, emit):
                     seed=settings.seed,
                 ),
             )
-            res = placer.place(netlist)
+            res, place = traced("place", placer.place, netlist)
             fmax = max_frequency(sta, res.placement, router.route(res.placement))
-            out.append((k, fmax, res.phase_seconds["dsp_placement"]))
+            stages = stage_seconds(place)
+            out.append((k, fmax, stages["assignment"] + stages["legalization"]))
         return out
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
@@ -78,7 +80,7 @@ def test_ablation_candidate_window(benchmark, settings, emit):
         "ablation_candidates",
         render_table(
             ["K (candidate sites/DSP)", "f_max (MHz)", "dsp-placement time (s)"],
-            [[k, f"{f:.0f}", f"{t:.1f}"] for k, f, t in results],
+            [[k, f"{f:.0f}", f"{t:.3f}"] for k, f, t in results],
             title="Ablation A3: MCF candidate-window size.",
         ),
     )

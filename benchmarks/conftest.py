@@ -6,16 +6,15 @@ scale protocol in ``repro.eval.experiments``). Rendered tables are printed
 and also written to ``benchmarks/results/`` so `pytest benchmarks/
 --benchmark-only` leaves artifacts behind.
 
-Unless ``REPRO_OBS=0``, every bench also runs under a
-:func:`repro.obs.observe` block and appends its per-stage wall/CPU
-breakdown and metric snapshot to ``benchmarks/results/stage_breakdown.json``
-(one entry per bench node) — the artifact CI uploads.
+Every bench also runs under a :func:`repro.obs.observe` block and appends
+its per-stage wall/CPU breakdown and metric snapshot to
+``benchmarks/results/stage_breakdown.json`` (one entry per bench node) —
+the artifact CI uploads.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 
 import pytest
@@ -52,14 +51,7 @@ def emit(results_dir):
 
 @pytest.fixture(autouse=True)
 def observed_run(request, results_dir):
-    """Trace each bench and persist its stage breakdown.
-
-    Set ``REPRO_OBS=0`` to opt out (e.g. when measuring the
-    observability-disabled overhead — see ``bench_fig8_runtime.py``).
-    """
-    if os.environ.get("REPRO_OBS", "1") == "0":
-        yield None
-        return
+    """Trace each bench and persist its stage breakdown."""
     with obs.observe() as ob:
         yield ob
     spans = ob.tracer.to_dicts()

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
@@ -211,7 +210,12 @@ class DSPlacerConfig:
 
 @dataclass
 class DSPlacerResult:
-    """Everything DSPlacer produced, plus profiling for Fig. 8."""
+    """Everything DSPlacer produced.
+
+    It carries no timings: spans are the flow's only clock. Run under
+    :func:`repro.obs.observe` to time it (Fig. 8 folds the ``place`` span,
+    see :mod:`repro.eval.profiling`).
+    """
 
     placement: Placement
     identification: IdentificationResult
@@ -219,66 +223,12 @@ class DSPlacerResult:
     dsp_graph_nodes: int
     dsp_graph_edges: int
     mcf_iterations_used: list[int] = field(default_factory=list)
-    phase_seconds: dict[str, float] = field(default_factory=dict)
     #: incident log of the resilience layer; ``health.degraded`` is True
     #: when a stage failure/budget/rollback affected the result.
     health: RunHealth = field(default_factory=RunHealth)
     #: span/metric snapshot, attached when the run executed under an active
     #: :func:`repro.obs.observe` block; ``None`` otherwise.
     report: RunReport | None = None
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.phase_seconds.values())
-
-    def to_report(self, meta: dict | None = None) -> RunReport:
-        """This result as a :class:`~repro.obs.RunReport`.
-
-        Uses the attached observation snapshot when the run was traced;
-        otherwise synthesizes a minimal span tree from
-        :attr:`phase_seconds` so consumers see one uniform schema either
-        way.
-        """
-        if self.report is not None:
-            if meta:
-                self.report.meta.update(meta)
-            return self.report
-        spans = [
-            {
-                "name": "place",
-                "attrs": {"synthesized": True},
-                "counters": {},
-                "wall_s": float(self.total_seconds),
-                "cpu_s": 0.0,
-                "children": [
-                    {
-                        "name": f"place.{name}",
-                        "attrs": {},
-                        "counters": {},
-                        "wall_s": float(secs),
-                        "cpu_s": 0.0,
-                        "children": [],
-                    }
-                    for name, secs in self.phase_seconds.items()
-                ],
-            }
-        ]
-        gauges = {
-            "extraction.datapath_dsps": float(self.n_datapath_dsps),
-            "extraction.dsp_graph_nodes": float(self.dsp_graph_nodes),
-            "extraction.dsp_graph_edges": float(self.dsp_graph_edges),
-        }
-        return RunReport(
-            meta=dict(meta or {}),
-            spans=spans,
-            metrics={"counters": {}, "gauges": gauges, "histograms": {}},
-            health=self.health.to_dict(),
-            quality=self._quality(self.placement.is_legal(), self.placement.hpwl()),
-        )
-
-    def to_dict(self, meta: dict | None = None) -> dict:
-        """JSON-ready view of the result (the RunReport document)."""
-        return self.to_report(meta=meta).to_dict()
 
     def _quality(self, legal: bool, hpwl_um: float) -> dict:
         return {
@@ -402,7 +352,6 @@ class DSPlacer:
     ) -> tuple[DSPlacerResult, tuple[Placement, bool, float] | None]:
         """The flow, and the last :func:`_verdict` it took, if any."""
         cfg = self.config
-        phases: dict[str, float] = {}
         health = RunHealth()
 
         # 0. input validation (strict raises; permissive downgrades)
@@ -419,17 +368,14 @@ class DSPlacer:
                 health.warn("validation", p)
 
         # 1. prototype placement
-        t0 = time.perf_counter()
         maybe_fault("prototype")
         with trace.span("place.prototype"):
             if initial_placement is None:
                 placement = self._base_placer().place(netlist)
             else:
                 placement = initial_placement.copy()
-        phases["prototype_placement"] = time.perf_counter() - t0
 
         # 2. datapath DSP extraction
-        t0 = time.perf_counter()
         with trace.span("place.extraction") as ext_sp:
             ident = self.identifier.predict(netlist, sample=sample)
             # cascade macros are placement-atomic: harmonize the classifier's
@@ -442,15 +388,13 @@ class DSPlacer:
                 for i in macro.dsps:
                     flags[i] = verdict
             paths = iddfs_dsp_paths(netlist, max_depth=cfg.iddfs_max_depth)
-            with trace.span("extraction.dsp_graph"):
-                dsp_graph = build_dsp_graph(netlist, paths)
-                datapath_graph = prune_control_dsps(dsp_graph, flags)
+            dsp_graph = build_dsp_graph(netlist, paths)
+            datapath_graph = prune_control_dsps(dsp_graph, flags)
             datapath_dsps = datapath_graph.nodes.tolist()
             ext_sp.set(n_datapath_dsps=len(datapath_dsps))
         metrics.gauge("extraction.datapath_dsps", len(datapath_dsps))
         metrics.gauge("extraction.dsp_graph_nodes", dsp_graph.number_of_nodes())
         metrics.gauge("extraction.dsp_graph_edges", dsp_graph.number_of_edges())
-        phases["datapath_extraction"] = time.perf_counter() - t0
 
         result = DSPlacerResult(
             placement=placement,
@@ -461,9 +405,6 @@ class DSPlacer:
             health=health,
         )
         if not datapath_dsps:
-            phases["dsp_placement"] = 0.0
-            phases["other_placement"] = 0.0
-            result.phase_seconds = phases
             return result, None
 
         engine = cfg.assignment_engine
@@ -494,8 +435,6 @@ class DSPlacer:
         )
         site_xy = self.device.site_xy("DSP")
         dsp_cells = get_csr(netlist).dsp_indices.tolist()
-        t_dsp = 0.0
-        t_other = 0.0
 
         # checkpoint: best-so-far legal placement by HPWL (the rollback
         # target on stage failure / budget overrun / final regression)
@@ -528,7 +467,6 @@ class DSPlacer:
             budget_hit = False
             with trace.span("place.outer", i=outer):
                 try:
-                    t0 = time.perf_counter()
                     if cfg.congestion_weight > 0:
                         from repro.router.global_router import GlobalRouter
 
@@ -561,11 +499,9 @@ class DSPlacer:
                         legal = legalizer.legalize(desired, guard=legal_guard)
                         for cell, sid in legal.site_of.items():
                             placement.assign_site(cell, sid)
-                    t_dsp += time.perf_counter() - t0
                     budget_hit = assign_guard.over_budget or legal_guard.over_budget
 
                     if not budget_hit:
-                        t0 = time.perf_counter()
                         maybe_fault("incremental")
                         with trace.span("place.incremental"):
                             placement = replace_other_components(
@@ -575,7 +511,6 @@ class DSPlacer:
                                 datapath_dsps,
                                 replacer,
                             )
-                        t_other += time.perf_counter() - t0
                 except ReproError as exc:
                     if cfg.strict or best is None:
                         raise
@@ -605,9 +540,6 @@ class DSPlacer:
                 health.degraded = True
                 break
 
-        phases["dsp_placement"] = t_dsp
-        phases["other_placement"] = t_other
-
         # final selection: never return worse than the checkpoint (strict
         # mode opts out and keeps the paper-faithful last iterate). The
         # HPWL-regression half of the guard only applies when wirelength is
@@ -635,7 +567,6 @@ class DSPlacer:
                     placement = best.copy()
 
         result.placement = placement
-        result.phase_seconds = phases
         return result, checked
 
 

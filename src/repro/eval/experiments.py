@@ -33,7 +33,7 @@ from repro.core.extraction.identification import (
     DatapathIdentifier,
     build_graph_sample,
 )
-from repro.eval.profiling import RuntimeBreakdown
+from repro.eval.profiling import RuntimeBreakdown, traced
 from repro.eval.visualization import DatapathLayoutMetrics, layout_metrics, placement_to_svg
 from repro.fpga.builders import scaled_zcu104, zcu104
 from repro.ml.train import GraphSample, leave_one_out
@@ -284,15 +284,17 @@ class Table2Result:
 
 def run_suite_tool(
     settings: ExperimentSettings, suite: str, tool: str
-) -> tuple[Placement, float, dict[str, float]]:
-    """Place one suite with one tool; returns (placement, seconds, phases)."""
+) -> tuple[Placement, float]:
+    """Place one suite with one tool; returns (placement, wall seconds).
+
+    Every tool is timed the same way, end to end, for Table II.
+    """
     device = get_device(settings)
     netlist = get_netlist(settings, suite)
     # the GCN identifier trains (Fig. 7's leave-one-out) on first use: that
     # is set-up, so it is built before the clock starts
     identifier = _identifier_for(settings, suite) if tool == "dsplacer" else None
     t0 = time.perf_counter()
-    phases: dict[str, float] = {}
     if tool == "vivado":
         placement = VivadoLikePlacer(seed=settings.seed, device=device).place(netlist)
     elif tool == "amf":
@@ -303,12 +305,10 @@ def run_suite_tool(
             DSPlacerConfig(seed=settings.seed),
             identifier=identifier,
         )
-        result = placer.place(netlist, sample=get_sample(settings, suite))
-        placement = result.placement
-        phases = dict(result.phase_seconds)
+        placement = placer.place(netlist, sample=get_sample(settings, suite)).placement
     else:
         raise ValueError(f"unknown tool {tool!r}")
-    return placement, time.perf_counter() - t0, phases
+    return placement, time.perf_counter() - t0
 
 
 def run_table2(settings: ExperimentSettings | None = None) -> Table2Result:
@@ -324,8 +324,7 @@ def run_table2(settings: ExperimentSettings | None = None) -> Table2Result:
             sta = StaticTimingAnalyzer(netlist)
             results: dict[str, tuple[Placement, float]] = {}
             for tool in TOOLS:
-                placement, seconds, _ = run_suite_tool(settings, suite, tool)
-                results[tool] = (placement, seconds)
+                results[tool] = run_suite_tool(settings, suite, tool)
             # frequency protocol: push the clock just past Vivado's f_max
             base_placement, _ = results["vivado"]
             base_route = router.route(base_placement)
@@ -361,16 +360,16 @@ def run_fig8(
     settings: ExperimentSettings | None = None,
     suites: tuple[str, ...] = ("ismartdnn", "skynet"),
 ) -> list[RuntimeBreakdown]:
-    """Phase breakdown of a DSPlacer run (+ routing), per Fig. 8."""
+    """Stage breakdown of a DSPlacer run (+ routing), per Fig. 8, read
+    from the run's ``place`` and ``route`` spans."""
     settings = settings or ExperimentSettings()
     out = []
     router = GlobalRouter()
     for suite in suites:
-        placement, _seconds, phases = run_suite_tool(settings, suite, "dsplacer")
-        t0 = time.perf_counter()
-        router.route(placement)
-        phases["routing"] = time.perf_counter() - t0
-        out.append(RuntimeBreakdown(benchmark=get_netlist(settings, suite).name, seconds=phases))
+        (placement, _), place = traced("place", run_suite_tool, settings, suite, "dsplacer")
+        _, route = traced("route", router.route, placement)
+        name = get_netlist(settings, suite).name
+        out.append(RuntimeBreakdown.from_spans(name, place, route))
     return out
 
 
@@ -412,7 +411,7 @@ def run_freq_sweep(
     router = GlobalRouter()
     placements = {}
     for tool in TOOLS:
-        placement, _seconds, _ = run_suite_tool(settings, suite, tool)
+        placement, _ = run_suite_tool(settings, suite, tool)
         placements[tool] = (placement, router.route(placement))
     # band: spans every tool's f_max
     fmaxes = {
@@ -464,7 +463,7 @@ def run_fig9(
     metrics: dict[str, DatapathLayoutMetrics] = {}
     svgs: dict[str, str] = {}
     for tool in TOOLS:
-        placement, _, _ = run_suite_tool(settings, suite, tool)
+        placement, _ = run_suite_tool(settings, suite, tool)
         metrics[tool] = layout_metrics(placement, datapath_graph)
         svg_path = str(pathlib.Path(out_dir) / f"{suite}_{tool}.svg")
         placement_to_svg(

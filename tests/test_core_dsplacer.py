@@ -42,16 +42,6 @@ class TestDSPlacerFlow:
         assert result.dsp_graph_nodes > 0
         assert result.dsp_graph_edges > 0
 
-    def test_phases_recorded(self, result):
-        expected = {
-            "prototype_placement",
-            "datapath_extraction",
-            "dsp_placement",
-            "other_placement",
-        }
-        assert expected <= set(result.phase_seconds)
-        assert result.total_seconds > 0
-
     def test_mcf_iterations_recorded(self, result):
         assert len(result.mcf_iterations_used) == 2  # outer_iterations default
         assert all(i >= 1 for i in result.mcf_iterations_used)
@@ -84,8 +74,11 @@ class TestDSPlacerQuality:
     def test_initial_placement_reused(self, mini_accel, small_dev):
         base = VivadoLikePlacer(seed=0, device=small_dev).place(mini_accel)
         placer = DSPlacer(small_dev, DSPlacerConfig(identification="oracle", mcf_iterations=3))
-        res = placer.place(mini_accel, initial_placement=base)
-        assert res.phase_seconds["prototype_placement"] < 0.2
+        with obs.observe() as ob:
+            res = placer.place(mini_accel, initial_placement=base)
+        # the prototype stage copied the given placement instead of placing
+        (prototype,) = ob.tracer.find("place.prototype")
+        assert "placer.vivado" not in {sp.name for sp in prototype.iter()}
         assert res.placement.is_legal()
 
     def test_trained_identifier_flow(self, mini_accel, small_dev):

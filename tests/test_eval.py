@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.extraction import build_dsp_graph, iddfs_dsp_paths, prune_control_dsps
 from repro.eval import ExperimentSettings, render_table, run_table1
-from repro.eval.profiling import RuntimeBreakdown
+from repro.eval.profiling import RuntimeBreakdown, traced
+from repro.obs import Span, trace
 from repro.eval.tables import render_csv
 from repro.eval.visualization import layout_metrics, placement_to_svg
 from repro.placers import VivadoLikePlacer
@@ -84,6 +86,72 @@ class TestProfiling:
 
     def test_total(self):
         assert RuntimeBreakdown("x", {"a": 1.5, "b": 0.5}).total == 2.0
+
+    @staticmethod
+    def _span(name, wall_s, *children):
+        sp = Span(name)
+        sp.wall_s = wall_s
+        sp.children = list(children)
+        return sp
+
+    def test_from_spans_folds_a_hand_built_tree(self):
+        s = self._span
+        place = s(
+            "place",
+            10.0,
+            s("place.validation", 0.25),
+            s("place.prototype", 3.0, s("placer.vivado", 2.5)),
+            s("place.extraction", 0.5, s("extraction.dsp_graph", 0.125)),
+            *(
+                s(
+                    "place.outer",
+                    wall,
+                    s("place.assignment", a),
+                    s("place.legalization", lg),
+                    s("place.incremental", inc),
+                )
+                for wall, a, lg, inc in ((2.5, 0.5, 0.25, 1.5), (2.75, 0.75, 0.5, 1.25))
+            ),
+            s("place.selection", 0.125),
+        )
+        rb = RuntimeBreakdown.from_spans("x", place, s("route", 0.75))
+        # assignment, legalization and incremental sum over both outer spans;
+        # the nested placer.vivado / extraction.dsp_graph spans are not rows
+        assert rb.seconds == {
+            "validation": 0.25,
+            "prototype": 3.0,
+            "extraction": 0.5,
+            "assignment": 1.25,
+            "legalization": 0.75,
+            "incremental": 2.75,
+            "selection": 0.125,
+            "unattributed": 1.375,
+            "routing": 0.75,
+        }
+        assert rb.total == 10.75
+
+    def test_from_spans_skipped_stages_read_zero(self):
+        s = self._span
+        place = s("place", 2.0, s("place.validation", 0.5), s("place.prototype", 1.0))
+        rb = RuntimeBreakdown.from_spans("x", place, s("route", 0.5))
+        assert rb.seconds["assignment"] == rb.seconds["selection"] == 0.0
+        assert rb.seconds["unattributed"] == 0.5
+
+    def test_traced_reads_the_active_observation(self):
+        def run(i):
+            with trace.span("place", i=i):
+                pass
+            return i
+
+        with obs.observe() as outer:
+            out, place = traced("place", run, 1)
+            _, later = traced("place", run, 2)
+        # the enclosing observation keeps both spans; each call gets its own
+        assert outer.tracer.find("place") == [place, later]
+        assert (out, place.attrs, later.attrs) == (1, {"i": 1}, {"i": 2})
+        # with none active, traced observes the call itself
+        _, alone = traced("place", run, 3)
+        assert alone.attrs == {"i": 3} and obs.active() is None
 
 
 class TestExperimentRunners:

@@ -13,6 +13,7 @@ import pytest
 from repro.core.extraction.identification import DatapathIdentifier
 from repro.eval import ExperimentSettings, experiments
 from repro.eval.experiments import run_fig8, run_fig9, run_suite_tool, run_table2
+from repro.eval.profiling import FIG8_STAGES
 
 
 @pytest.fixture(scope="module")
@@ -28,11 +29,9 @@ def tiny_settings():
 class TestRunSuiteTool:
     @pytest.mark.parametrize("tool", ["vivado", "amf", "dsplacer"])
     def test_tools_produce_legal(self, tiny_settings, tool):
-        placement, seconds, phases = run_suite_tool(tiny_settings, "ismartdnn", tool)
+        placement, seconds = run_suite_tool(tiny_settings, "ismartdnn", tool)
         assert placement.is_legal()
         assert seconds > 0
-        if tool == "dsplacer":
-            assert "dsp_placement" in phases
 
     def test_runtime_excludes_identifier_construction(self, tiny_settings, monkeypatch):
         """Training the GCN identifier on first use is not placement time."""
@@ -44,7 +43,7 @@ class TestRunSuiteTool:
 
         monkeypatch.setattr(experiments, "_identifier_for", slow_identifier)
         t0 = time.perf_counter()
-        _, seconds, _ = run_suite_tool(tiny_settings, "ismartdnn", "dsplacer")
+        _, seconds = run_suite_tool(tiny_settings, "ismartdnn", "dsplacer")
         assert time.perf_counter() - t0 - seconds >= delay
 
     def test_unknown_tool(self, tiny_settings):
@@ -91,10 +90,10 @@ class TestFig7Runner:
 
 class TestFigRunners:
     def test_fig8_breakdowns(self, tiny_settings):
-        out = run_fig8(tiny_settings, suites=("ismartdnn",))
-        assert len(out) == 1
-        assert "routing" in out[0].seconds
-        assert out[0].total > 0
+        (rb,) = run_fig8(tiny_settings, suites=("ismartdnn",))
+        assert set(rb.seconds) == {*FIG8_STAGES, "unattributed", "routing"}
+        assert rb.seconds["unattributed"] >= 0
+        assert rb.seconds["prototype"] > 0 and rb.seconds["routing"] > 0
 
     def test_fig9_svgs(self, tiny_settings, tmp_path):
         res = run_fig9(tiny_settings, suite="skynet", out_dir=str(tmp_path))
