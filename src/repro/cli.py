@@ -39,6 +39,7 @@ from contextlib import nullcontext
 
 from repro import obs
 from repro.accelgen import SUITE_NAMES, generate_suite
+from repro.clock import get_skew_model, run_clock_section
 from repro.core import DSPlacerConfig
 from repro.errors import ConfigurationError, ReproError
 from repro.fpga import FABRIC_NAMES, fabric_device
@@ -265,8 +266,6 @@ def _place(args) -> int:
                     emitter.info(result.health.summary())
                     health = result.health.to_dict()
             route = GlobalRouter().route(placement)
-            from repro.clock import get_skew_model
-
             skew = get_skew_model(config.skew_model, device)
             sta = StaticTimingAnalyzer(netlist, skew_model=skew)
             fmax = max_frequency(sta, placement, route)
@@ -305,10 +304,7 @@ def _place(args) -> int:
             },
         )
         report.job = job_doc
-        if config.skew_model != "region" or config.skew_weight > 0:
-            from repro.clock import clock_report_section
-
-            report.clock = clock_report_section(skew, placement, netlist)
+        report.clock = run_clock_section(config, placement, netlist)
         emitter.emit(report)
     if getattr(args, "svg", None):
         from repro.core.extraction import build_dsp_graph, iddfs_dsp_paths, prune_control_dsps

@@ -13,7 +13,8 @@ model of the physical clock network:
   and :class:`ZeroSkew` implementations.
 
 :func:`clock_report_section` renders a model (plus optional sink arrivals)
-into the optional versioned ``clock`` section of a RunReport (schema v3).
+into the optional versioned ``clock`` section of a RunReport (schema v3);
+:func:`run_clock_section` decides whether a run records one.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "SKEW_MODEL_NAMES",
     "get_skew_model",
     "clock_report_section",
+    "run_clock_section",
 ]
 
 
@@ -69,3 +71,16 @@ def clock_report_section(model: SkewModel, placement=None, netlist=None) -> dict
         doc["worst_skew_ns"] = float(arrivals.max() - arrivals.min())
         doc["mean_abs_skew_ns"] = float(np.abs(arrivals - mean).mean())
     return doc
+
+
+def run_clock_section(config, placement, netlist) -> dict | None:
+    """The ``clock`` section a run under ``config`` records, or ``None``.
+
+    Only non-default clocking (``skew_model != "region"`` or
+    ``skew_weight > 0``) records one, so default runs keep their historical
+    report.
+    """
+    if config.skew_model == "region" and config.skew_weight <= 0:
+        return None
+    model = get_skew_model(config.skew_model, placement.device)
+    return clock_report_section(model, placement, netlist)

@@ -12,7 +12,6 @@ file exactly like the real flow hands off to Vivado.
 from __future__ import annotations
 
 import re
-from pathlib import Path
 
 from repro.fpga.device import Device
 from repro.netlist.netlist import Netlist

@@ -39,7 +39,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from repro.clock.skew import SKEW_MODEL_NAMES
+from repro.clock import SKEW_MODEL_NAMES, get_skew_model, run_clock_section
 from repro.core.extraction.dsp_graph import build_dsp_graph, prune_control_dsps
 from repro.core.extraction.iddfs import iddfs_dsp_paths
 from repro.core.extraction.identification import (
@@ -106,10 +106,6 @@ class DSPlacerConfig:
     #: in the tests — and "auto" picks mcf for small instances and lsa
     #: above 64 datapath DSPs, standing in for LEMON's C++ speed.
     assignment_engine: str = "auto"
-    #: > 0 enables the congestion-aware extension: DSP sites in overloaded
-    #: routing bins are surcharged during assignment (see
-    #: :class:`~repro.core.placement.AssignmentConfig`).
-    congestion_weight: float = 0.0
     #: enables the timing-driven extension: before each outer iteration an
     #: STA required-time pass computes per-cell slacks and the assignment
     #: pulls DSPs harder toward neighbours on failing paths.
@@ -251,7 +247,6 @@ class DSPlacer:
     ) -> None:
         self.device = device
         self.config = config or DSPlacerConfig()
-        self._cancel_requested = False
         self.identifier = identifier or DatapathIdentifier(
             method=self.config.identification, seed=self.config.seed
         )
@@ -262,32 +257,9 @@ class DSPlacer:
                 "the leave-one-out training protocol)"
             )
 
-    def _skew_model_obj(self):
-        """The configured :class:`~repro.clock.SkewModel` over this device."""
-        from repro.clock import get_skew_model
-
-        return get_skew_model(self.config.skew_model, self.device)
-
     def _base_placer(self):
         placer = BASE_PLACERS[self.config.base_placer]
         return placer(seed=self.config.seed, device=self.device)
-
-    def as_placer(self):
-        """This engine behind the unified :class:`~repro.placers.api.Placer`
-        protocol (``place(netlist, *, seed=...) -> Placement``)."""
-        from repro.placers.api import DSPlacerAdapter
-
-        return DSPlacerAdapter(self)
-
-    def request_cancel(self) -> None:
-        """Ask the in-flight (or next) :meth:`place` to stop early.
-
-        Cooperative, like the stage budgets: the flow checks the flag at
-        each outer-iteration boundary, keeps the best-so-far legal
-        placement, records a ``cancelled`` health event and returns. The
-        flag is consumed by the run that honours it.
-        """
-        self._cancel_requested = True
 
     # ------------------------------------------------------------------
     def place(
@@ -334,14 +306,7 @@ class DSPlacer:
                 health=result.health.to_dict(),
                 quality=result._quality(legal, hpwl),
             )
-            if cfg.skew_model != "region" or cfg.skew_weight > 0:
-                # non-default clocking: record the versioned clock section
-                # (schema v3) — default runs keep their historical report
-                from repro.clock import clock_report_section
-
-                result.report.clock = clock_report_section(
-                    self._skew_model_obj(), result.placement, netlist
-                )
+            result.report.clock = run_clock_section(cfg, result.placement, netlist)
         return result
 
     def _place_flow(
@@ -410,7 +375,7 @@ class DSPlacer:
         engine = cfg.assignment_engine
         if engine == "auto":
             engine = "mcf" if len(datapath_dsps) <= 64 else "lsa"
-        skew = self._skew_model_obj()
+        skew = get_skew_model(cfg.skew_model, self.device)
         assigner = DatapathDSPAssigner(
             netlist,
             self.device,
@@ -422,7 +387,6 @@ class DSPlacer:
                 candidate_k=cfg.candidate_k,
                 max_iterations=cfg.mcf_iterations,
                 engine=engine,
-                congestion_weight=cfg.congestion_weight,
                 skew_weight=cfg.skew_weight,
                 seed=cfg.seed,
             ),
@@ -452,27 +416,9 @@ class DSPlacer:
 
             sta = StaticTimingAnalyzer(netlist, skew_model=skew)
         for outer in range(1, cfg.outer_iterations + 1):
-            if self._cancel_requested:
-                self._cancel_requested = False
-                health.record(
-                    "pipeline",
-                    "cancelled",
-                    f"cancellation requested before outer iteration {outer}; "
-                    "keeping best-so-far placement",
-                )
-                health.degraded = True
-                if best is not None:
-                    placement = best.copy()
-                break
             budget_hit = False
             with trace.span("place.outer", i=outer):
                 try:
-                    if cfg.congestion_weight > 0:
-                        from repro.router.global_router import GlobalRouter
-
-                        assigner.set_congestion_map(
-                            GlobalRouter().route(placement).congestion
-                        )
                     if sta is not None:
                         period = 1e3 / netlist.target_freq_mhz
                         report = sta.analyze(
@@ -547,7 +493,7 @@ class DSPlacer:
         # trades HPWL for clock-tap alignment, and the wirelength yardstick
         # would revert every such trade. The last iteration's verdict holds
         # while ``placement`` is still the object it checked: nothing moves
-        # a site after that check, and a rollback or cancel made a copy.
+        # a site after that check, and a rollback made a copy.
         if best is not None and not cfg.strict:
             with trace.span("place.selection"):
                 checked = _verdict(placement, checked)

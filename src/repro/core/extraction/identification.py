@@ -24,7 +24,6 @@ from repro.ml.gcn import normalized_adjacency
 from repro.ml.metrics import accuracy
 from repro.ml.svm import LinearSVM
 from repro.ml.train import GraphSample, TrainResult, train_gcn
-from repro.netlist.cell import CellType
 from repro.netlist.csr import get_csr
 from repro.netlist.netlist import Netlist
 from repro.obs import metrics, trace

@@ -88,10 +88,6 @@ class AssignmentConfig:
     #: over candidate windows — the paper's formulation) or "lsa" (scipy's
     #: dense Hungarian)
     engine: str = "mcf"
-    #: extension beyond the paper: penalize sites in congested routing
-    #: bins (the paper observes its compact layouts raise congestion to a
-    #: "medium" level; this knob trades compactness against it). 0 = off.
-    congestion_weight: float = 0.0
     #: extension beyond the paper: penalize sites whose clock arrival (from
     #: the skew model passed to the assigner) strays from the weighted mean
     #: arrival of the DSP's netlist neighbours — keeps tightly coupled
@@ -151,7 +147,6 @@ class DatapathDSPAssigner:
         norms = np.sqrt(np.maximum(self._site_sq, 1e-12))
         self._site_cos = self.site_xy[:, 0] / norms
         self._site_col = device.site_col("DSP")
-        self._site_congestion: np.ndarray | None = None
         # per-site clock arrival for the skew-aware term; stays None when
         # the term is off or the model has no per-point arrival notion
         self._skew_model = skew_model
@@ -283,22 +278,6 @@ class DatapathDSPAssigner:
         self._neighbors = list(self._base_neighbors)
         self._rebuild_neighbor_arrays()
 
-    def set_congestion_map(self, congestion: np.ndarray) -> None:
-        """Sample a routing-congestion bin map at every DSP site.
-
-        ``congestion`` is the (gx, gy) utilization grid from a
-        :class:`~repro.router.RoutingResult`; sites falling in overloaded
-        bins are surcharged by ``congestion_weight × max(0, util − 1)``.
-        """
-        gx, gy = congestion.shape
-        bx = np.clip(
-            (self.site_xy[:, 0] / max(self.device.width, 1e-9) * gx).astype(int), 0, gx - 1
-        )
-        by = np.clip(
-            (self.site_xy[:, 1] / max(self.device.height, 1e-9) * gy).astype(int), 0, gy - 1
-        )
-        self._site_congestion = np.maximum(0.0, congestion[bx, by] - 1.0)
-
     def cost_matrix(
         self, placement: Placement, prev_sites: np.ndarray | None
     ) -> np.ndarray:
@@ -323,8 +302,6 @@ class DatapathDSPAssigner:
             + q[:, None]
         )
         cost += self._angle_coef[:, None] * self._site_cos[None, :]
-        if cfg.congestion_weight > 0 and self._site_congestion is not None:
-            cost += cfg.congestion_weight * self._site_congestion[None, :]
         if self._site_skew is not None:
             # skew-aware pull: per DSP, the weighted-mean clock arrival of
             # its neighbours is the reference; sites whose arrival strays

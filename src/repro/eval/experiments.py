@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.accelgen import SUITE_NAMES, generate_suite, suite_config
+from repro.accelgen import SUITE_NAMES, generate_suite
 from repro.core.dsplacer import DSPlacer, DSPlacerConfig
 from repro.core.extraction.dsp_graph import build_dsp_graph, prune_control_dsps
 from repro.core.extraction.features import FeatureConfig
@@ -316,7 +316,6 @@ def run_table2(settings: ExperimentSettings | None = None) -> Table2Result:
     settings = settings or ExperimentSettings()
 
     def build() -> Table2Result:
-        device = get_device(settings)
         router = GlobalRouter()
         rows: list[ToolRow] = []
         for suite in settings.suites:

@@ -8,7 +8,7 @@ the Kipf-Welling symmetric normalization ``Â = D^{-1/2}(A + I)D^{-1/2}``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp

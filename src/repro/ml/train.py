@@ -15,7 +15,6 @@ import scipy.sparse as sp
 
 from repro.ml.gcn import GCN, GCNConfig
 from repro.ml.losses import class_weights_from_labels, weighted_cross_entropy
-from repro.ml.metrics import accuracy
 from repro.ml.optim import Adam
 
 

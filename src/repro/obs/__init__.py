@@ -1,12 +1,11 @@
-"""Flow-wide observability: tracing spans, metrics, profiling, run reports.
+"""Flow-wide observability: tracing spans, metrics, run reports.
 
-Four cooperating pieces (see ``docs/OBSERVABILITY.md``):
+Three cooperating pieces (see ``docs/OBSERVABILITY.md``):
 
 - :mod:`repro.obs.trace` — hierarchical spans with wall/CPU time, nesting,
   per-span attributes and counters;
 - :mod:`repro.obs.metrics` — a process-local registry of counters, gauges
   and histograms, mergeable across stages;
-- :mod:`repro.obs.profiling` — opt-in cProfile / tracemalloc hooks per span;
 - :mod:`repro.obs.report` — the versioned :class:`RunReport` JSON schema the
   CLI (``--json``) and benchmark harness emit.
 
@@ -26,11 +25,10 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.obs import _runtime, metrics, trace
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.profiling import SpanProfiler
 from repro.obs.report import (
     REPORT_KIND,
     SCHEMA_VERSION,
@@ -51,7 +49,6 @@ __all__ = [
     "Tracer",
     "Histogram",
     "MetricsRegistry",
-    "SpanProfiler",
     "RunReport",
     "REPORT_KIND",
     "SCHEMA_VERSION",
@@ -67,10 +64,6 @@ class Observation:
     Args:
         clock / cpu_clock: Injectable time sources (tests pin these for
             deterministic span timings).
-        profile: Profiling tools to run per span — subset of
-            ``("cprofile", "tracemalloc")``; empty (default) disables
-            profiling entirely.
-        profile_only: Span-name prefixes to restrict profiling to.
     """
 
     def __init__(
@@ -78,11 +71,8 @@ class Observation:
         *,
         clock=time.perf_counter,
         cpu_clock=time.process_time,
-        profile: Sequence[str] = (),
-        profile_only: Sequence[str] = (),
     ) -> None:
-        profiler = SpanProfiler(tools=profile, only=profile_only) if profile else None
-        self.tracer = Tracer(clock=clock, cpu_clock=cpu_clock, profiler=profiler)
+        self.tracer = Tracer(clock=clock, cpu_clock=cpu_clock)
         self.metrics = MetricsRegistry()
 
     def report(

@@ -114,7 +114,7 @@ NULL_SPAN = _NullSpan()
 class _SpanContext:
     """Context manager for one live span on one tracer."""
 
-    __slots__ = ("_tracer", "_span", "_t0", "_c0", "_prof")
+    __slots__ = ("_tracer", "_span", "_t0", "_c0")
 
     def __init__(self, tracer: "Tracer", sp: Span) -> None:
         self._tracer = tracer
@@ -125,9 +125,6 @@ class _SpanContext:
         parent = tr._stack[-1] if tr._stack else None
         (parent.children if parent is not None else tr.roots).append(self._span)
         tr._stack.append(self._span)
-        self._prof = (
-            tr._profiler.start(self._span.name) if tr._profiler is not None else None
-        )
         self._t0 = tr._clock()
         self._c0 = tr._cpu_clock()
         return self._span
@@ -139,8 +136,6 @@ class _SpanContext:
         sp.cpu_s = tr._cpu_clock() - self._c0
         if exc_type is not None:
             sp.attrs.setdefault("error", exc_type.__name__)
-        if self._prof is not None:
-            tr._profiler.stop(self._prof, sp)
         tr._stack.pop()
         return False
 
@@ -152,11 +147,9 @@ class Tracer:
         self,
         clock: Callable[[], float] = time.perf_counter,
         cpu_clock: Callable[[], float] = time.process_time,
-        profiler=None,
     ) -> None:
         self._clock = clock
         self._cpu_clock = cpu_clock
-        self._profiler = profiler
         self.roots: list[Span] = []
         self._stack: list[Span] = []
 

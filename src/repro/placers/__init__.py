@@ -16,7 +16,7 @@ stand-ins that exercise the same role:
 
 All engines (and DSPlacer, through its adapter) conform to the unified
 :class:`~repro.placers.api.Placer` protocol: bind the device at
-construction, then ``place(netlist, *, seed=...)``. See
+construction, then ``place(netlist)``. See
 :func:`~repro.placers.api.get_placer`.
 """
 

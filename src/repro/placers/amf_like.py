@@ -26,7 +26,6 @@ from repro.placers.analytical import GlobalPlaceConfig, QuadraticGlobalPlacer
 from repro.placers.detailed import refine_sites
 from repro.placers.legalizer import Legalizer
 from repro.placers.placement import Placement
-from repro.placers.vivado_like import bound_device
 
 
 class AMFLikePlacer:
@@ -40,7 +39,8 @@ class AMFLikePlacer:
         n_iterations: int = 14,
         refine_passes: int = 1,
         fabric_scale: float = 1.5,
-        device: Device | None = None,
+        *,
+        device: Device,
     ) -> None:
         self.seed = seed
         self.n_iterations = n_iterations
@@ -49,27 +49,14 @@ class AMFLikePlacer:
         # density targets assume that larger part
         self.fabric_scale = fabric_scale
         self.device = device
-        self._cancel_requested = False
-
-    def cancel(self) -> None:
-        """Cooperative cancel: the single-pass flow completes its pass.
-
-        Present for :class:`~repro.placers.api.Placer` conformance; the
-        serve layer cancels baseline attempts by terminating the worker.
-        """
-        self._cancel_requested = True
 
     def place(
         self,
         netlist: Netlist,
         placement: Placement | None = None,
         movable_mask: np.ndarray | None = None,
-        *,
-        seed: int | None = None,
     ) -> Placement:
         """Full placement of all movable cells; returns a legal placement."""
-        device = bound_device(self)
-        run_seed = self.seed if seed is None else seed
         with trace.span("placer.amf"):
             # a temporary engine: its clique system is freed before legalization
             place = QuadraticGlobalPlacer(
@@ -78,9 +65,9 @@ class AMFLikePlacer:
                     avoid_ps=False,  # VCU108 tuning: no PS keep-out
                     use_net_weights=False,  # wirelength-only, criticality-blind
                     fabric_scale=self.fabric_scale,
-                    seed=run_seed,
+                    seed=self.seed,
                 )
-            ).place(netlist, device, placement=placement, movable_mask=movable_mask)
+            ).place(netlist, self.device, placement=placement, movable_mask=movable_mask)
             # mixed-size packing: rigid macros collapse onto their centroid so
             # the legalizer stacks each chain as compactly as possible
             for macro in netlist.macros:
@@ -89,6 +76,6 @@ class AMFLikePlacer:
                     continue
                 centroid = place.xy[members].mean(axis=0)
                 place.xy[members] = centroid
-            Legalizer(device).legalize(place, movable_mask=movable_mask)
-            refine_sites(place, passes=self.refine_passes, movable_mask=movable_mask, seed=run_seed)
+            Legalizer(self.device).legalize(place, movable_mask=movable_mask)
+            refine_sites(place, passes=self.refine_passes, movable_mask=movable_mask, seed=self.seed)
             return place

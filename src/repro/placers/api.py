@@ -1,20 +1,16 @@
 """The unified Placer API: protocol, factory, and job schemas.
 
 Every placement engine exposes one protocol: bind a
-:class:`~repro.fpga.Device` at construction, then
-``place(netlist, *, seed=...)`` returns a legal
-:class:`~repro.placers.Placement`, and :meth:`Placer.cancel` asks an
-in-flight run to stop early (cooperatively — engines honour it at their
-iteration boundaries). This is what the CLI, the experiment harness, the
-serve layer and protocol-generic tests program against:
+:class:`~repro.fpga.Device` at construction, then ``place(netlist)``
+returns a legal :class:`~repro.placers.Placement`. This is what the CLI,
+the experiment harness, the serve layer and protocol-generic tests
+program against:
 
     >>> placer = get_placer("vivado", device, seed=0)
     >>> placement = placer.place(netlist)
 
 :func:`get_placer` is the single supported entry point for constructing an
-engine by name; the legacy ``place(netlist, device)`` positional-device
-signature was removed after its deprecation release (bind the device at
-construction instead).
+engine by name.
 
 This module also defines the serving-first job schemas shared by
 ``python -m repro place``, ``python -m repro serve submit`` and
@@ -73,17 +69,8 @@ class Placer(Protocol):
 
     name: str
 
-    def place(self, netlist: Netlist, *, seed: int | None = None) -> Placement:
+    def place(self, netlist: Netlist) -> Placement:
         """Fully place ``netlist`` on the bound device; returns a legal placement."""
-        ...
-
-    def cancel(self) -> None:
-        """Cooperatively ask an in-flight ``place`` to stop early.
-
-        Engines honour the request at their next iteration boundary and
-        return their best placement so far; a run that has no boundaries
-        left simply completes. Safe to call from another thread.
-        """
         ...
 
 
@@ -102,22 +89,10 @@ class DSPlacerAdapter:
         self.dsplacer = dsplacer
         self.last_result: "DSPlacerResult | None" = None
 
-    def place(self, netlist: Netlist, *, seed: int | None = None) -> Placement:
-        placer = self.dsplacer
-        if seed is not None and seed != placer.config.seed:
-            from repro.core.dsplacer import DSPlacer, DSPlacerConfig
-
-            cfg = DSPlacerConfig.from_dict({**placer.config.to_dict(), "seed": seed})
-            placer = DSPlacer(placer.device, cfg, identifier=placer.identifier)
-        self._running = placer
-        result = placer.place(netlist)
+    def place(self, netlist: Netlist) -> Placement:
+        result = self.dsplacer.place(netlist)
         self.last_result = result
         return result.placement
-
-    def cancel(self) -> None:
-        """Forward cancellation to the engine driving the current run."""
-        running = getattr(self, "_running", None) or self.dsplacer
-        running.request_cancel()
 
 
 # ----------------------------------------------------------------------

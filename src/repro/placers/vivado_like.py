@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.fpga.device import Device
 from repro.netlist.csr import get_csr
 from repro.netlist.netlist import Netlist
@@ -44,24 +43,6 @@ def td_criticality_weights(
     return np.where(np.isnan(s), current_weights, boosted)
 
 
-def bound_device(placer) -> Device:
-    """The device a baseline placer is bound to.
-
-    The unified :class:`~repro.placers.api.Placer` protocol binds the
-    device at construction; the legacy ``place(netlist, device)`` shim was
-    removed after its deprecation release — construct through
-    :func:`~repro.placers.api.get_placer` (or pass ``device=`` to the
-    constructor) instead.
-    """
-    if placer.device is None:
-        raise ConfigurationError(
-            f"{type(placer).__name__} has no device: construct with "
-            f"{type(placer).__name__}(device=dev) — or use "
-            f"get_placer({placer.name!r}, dev)"
-        )
-    return placer.device
-
-
 class VivadoLikePlacer:
     """Wirelength-driven analytical flow (global → legalize → refine).
 
@@ -85,7 +66,8 @@ class VivadoLikePlacer:
         td_rounds: int = 1,
         td_boost: float = 2.0,
         pack_ble: bool = False,
-        device: Device | None = None,
+        *,
+        device: Device,
     ) -> None:
         self.seed = seed
         self.n_iterations = n_iterations
@@ -95,29 +77,16 @@ class VivadoLikePlacer:
         self.td_boost = td_boost
         self.pack_ble = pack_ble
         self.device = device
-        self._cancel_requested = False
-
-    def cancel(self) -> None:
-        """Cooperative cancel: stop before the next timing-driven round.
-
-        The wirelength-only flow is a single pass and simply completes; the
-        timing-driven loop checks the flag between re-placement rounds.
-        """
-        self._cancel_requested = True
 
     def place(
         self,
         netlist: Netlist,
         placement: Placement | None = None,
         movable_mask: np.ndarray | None = None,
-        *,
-        seed: int | None = None,
     ) -> Placement:
         """Full placement of all movable cells; returns a legal placement."""
-        device = bound_device(self)
-        run_seed = self.seed if seed is None else seed
         with trace.span("placer.vivado", timing_driven=self.timing_driven):
-            place = self._one_pass(netlist, device, placement, movable_mask, run_seed)
+            place = self._one_pass(netlist, placement, movable_mask)
             if not self.timing_driven:
                 return place
             from repro.timing.sta import StaticTimingAnalyzer
@@ -127,9 +96,6 @@ class VivadoLikePlacer:
             original = [net.weight for net in netlist.nets]
             try:
                 for _ in range(self.td_rounds):
-                    if self._cancel_requested:
-                        self._cancel_requested = False
-                        break
                     report = sta.analyze(place, period_ns=period, with_slacks=True)
                     slack = report.cell_output_slack
                     nets = netlist.nets
@@ -146,23 +112,23 @@ class VivadoLikePlacer:
                     )
                     for net, w in zip(nets, new_w.tolist()):
                         net.weight = w
-                    place = self._one_pass(netlist, device, place, movable_mask, run_seed)
+                    place = self._one_pass(netlist, place, movable_mask)
             finally:
                 for net, w0 in zip(netlist.nets, original):
                     net.weight = w0
             return place
 
-    def _one_pass(self, netlist, device, placement, movable_mask, seed) -> Placement:
+    def _one_pass(self, netlist, placement, movable_mask) -> Placement:
         # a temporary engine: its clique system is freed before legalization
         place = QuadraticGlobalPlacer(
-            GlobalPlaceConfig(n_iterations=self.n_iterations, avoid_ps=True, seed=seed)
-        ).place(netlist, device, placement=placement, movable_mask=movable_mask)
+            GlobalPlaceConfig(n_iterations=self.n_iterations, avoid_ps=True, seed=self.seed)
+        ).place(netlist, self.device, placement=placement, movable_mask=movable_mask)
         if self.pack_ble:
             from repro.placers.packing import apply_packing, pack_lut_ff_pairs
 
             apply_packing(place, pack_lut_ff_pairs(netlist))
-        Legalizer(device).legalize(place, movable_mask=movable_mask)
+        Legalizer(self.device).legalize(place, movable_mask=movable_mask)
         refine_sites(
-            place, passes=self.refine_passes, movable_mask=movable_mask, seed=seed
+            place, passes=self.refine_passes, movable_mask=movable_mask, seed=self.seed
         )
         return place

@@ -9,7 +9,7 @@ import numpy as np
 from repro.netlist.csr import get_csr
 from repro.obs import metrics, trace
 from repro.placers.placement import Placement
-from repro.router.estimator import net_hpwl, steiner_factor
+from repro.router.estimator import steiner_factor
 
 
 @dataclass

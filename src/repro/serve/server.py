@@ -20,11 +20,10 @@
 Concurrency model: the server is **caller-pumped**. ``submit`` enqueues
 and starts whatever fits in the pool; every ``Job.wait``/``Job.result``/
 ``drain`` call pumps the scheduler (launch queued attempts, poll worker
-pipes, reap finished processes). There is no background thread by
-default, so worker processes are always forked from the calling thread —
+pipes, reap finished processes). There is no background thread, so
+worker processes are always forked from the calling thread —
 deterministic for tests and safe under CPython 3.12's multithreaded-fork
-restrictions. Pass ``background=True`` to run the pump in a daemon thread
-for embedding scenarios where nobody polls.
+restrictions.
 
 Crash containment: an attempt whose process exits without sending a
 result (OOM kill, segfault, a chaos ``crash`` fault) becomes a
@@ -37,12 +36,13 @@ from __future__ import annotations
 import copy
 import itertools
 import multiprocessing
+import os
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection as mpconn
-from typing import Any, Callable
+from typing import Any
 
 from repro.errors import ServeError, WorkerCrashError
 from repro.obs import metrics
@@ -110,7 +110,6 @@ class Job:
     response: PlacementResponse | None = field(default=None, repr=False)
     #: duplicate submissions coalesced onto this in-flight job
     followers: list["Job"] = field(default_factory=list, repr=False)
-    _event: threading.Event = field(default_factory=threading.Event, repr=False)
 
     @property
     def done(self) -> bool:
@@ -123,16 +122,10 @@ class Job:
     def wait(self, timeout: float | None = None) -> bool:
         """Pump the server until this job finishes (or ``timeout`` passes)."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        while not self._event.is_set():
-            if self.server._background:
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._event.wait(_POLL_S if remaining is None else min(_POLL_S, remaining))
-            else:
-                self.server._pump(block_s=_POLL_S)
-                if deadline is not None and time.monotonic() >= deadline:
-                    return self._event.is_set()
+        while not self.done:
+            self.server._pump(block_s=_POLL_S)
+            if deadline is not None and time.monotonic() >= deadline:
+                return self.done
         return True
 
     def result(self, timeout: float | None = None) -> PlacementResponse:
@@ -158,15 +151,11 @@ class PlacementServer:
     Args:
         workers: Max concurrent placement processes (≥ 1).
         cache: A shared :class:`ResultCache`; default a fresh per-server one.
-        start_method: ``multiprocessing`` start method; default ``fork``
-            where available (cheap, inherits imports) else ``spawn``.
-        device_factory: ``scale -> Device`` used when a submission doesn't
-            bring its own device; default builds the request's fabric via
-            :func:`repro.fpga.fabric_device`.
         attempt_timeout_s: Hard wall-clock cap per attempt — a worker past
             it is terminated and counted as crashed. ``None`` disables.
-        background: Run the scheduler pump in a daemon thread instead of
-            piggybacking on ``Job.wait`` calls.
+
+    Workers start with ``fork`` where the platform has it (cheap, inherits
+    imports), else ``spawn``.
     """
 
     def __init__(
@@ -174,20 +163,13 @@ class PlacementServer:
         *,
         workers: int = 2,
         cache: ResultCache | None = None,
-        start_method: str | None = None,
-        device_factory: Callable[[float], Any] | None = None,
         attempt_timeout_s: float | None = None,
-        background: bool = False,
     ) -> None:
         if workers < 1:
             raise ServeError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
         self.cache = cache if cache is not None else ResultCache()
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
-        self._device_factory = device_factory
+        self._ctx = multiprocessing.get_context("fork" if hasattr(os, "fork") else "spawn")
         self.attempt_timeout_s = attempt_timeout_s
         self.jobs: dict[str, Job] = {}
         self._inflight: dict[str, Job] = {}
@@ -196,13 +178,6 @@ class PlacementServer:
         self._ids = itertools.count(1)
         self._lock = threading.RLock()
         self._closed = False
-        self._background = background
-        self._pump_thread: threading.Thread | None = None
-        if background:
-            self._pump_thread = threading.Thread(
-                target=self._pump_forever, name="repro-serve-pump", daemon=True
-            )
-            self._pump_thread.start()
 
     # -- submission -----------------------------------------------------
     def submit(
@@ -219,7 +194,9 @@ class PlacementServer:
         if self._closed:
             raise ServeError("server is closed")
         if device is None:
-            device = self._make_device(request.scale, request.fabric)
+            from repro.fpga import fabric_device
+
+            device = fabric_device(request.fabric, request.scale)
         if netlist is None:
             from repro.accelgen import generate_suite
 
@@ -273,10 +250,7 @@ class PlacementServer:
                 return True
             if deadline is not None and time.monotonic() >= deadline:
                 return False
-            if self._background:
-                time.sleep(_POLL_S)
-            else:
-                self._pump(block_s=_POLL_S)
+            self._pump(block_s=_POLL_S)
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
@@ -288,8 +262,6 @@ class PlacementServer:
             for job in list(self.jobs.values()):
                 if not job.done:
                     self._cancel_job_locked(job)
-        if self._pump_thread is not None:
-            self._pump_thread.join(timeout=2.0)
 
     def __enter__(self) -> "PlacementServer":
         return self
@@ -310,10 +282,6 @@ class PlacementServer:
             }
 
     # -- scheduler ------------------------------------------------------
-    def _pump_forever(self) -> None:
-        while not self._closed:
-            self._pump(block_s=_POLL_S)
-
     def _pump(self, block_s: float = 0.0) -> None:
         """One scheduler step: launch, poll worker pipes, reap, finalize."""
         with self._lock:
@@ -491,7 +459,6 @@ class PlacementServer:
             finished_unix=job.finished_unix,
         )
         metrics.inc("serve.jobs.cancelled")
-        job._event.set()
         self._resolve_followers(job)
 
     def _resolve_followers(self, job: Job) -> None:
@@ -524,7 +491,6 @@ class PlacementServer:
                     started_unix=follower.started_unix,
                     finished_unix=follower.finished_unix,
                 )
-                follower._event.set()
 
     def _race_section(self, job: Job, winner: _Attempt | None) -> dict[str, Any] | None:
         if job.request.race_k <= 1:
@@ -597,7 +563,6 @@ class PlacementServer:
                 ),
             )
         metrics.inc("serve.jobs.ok")
-        job._event.set()
         self._resolve_followers(job)
 
     def _finish_failed(self, job: Job) -> None:
@@ -618,7 +583,6 @@ class PlacementServer:
             finished_unix=job.finished_unix,
         )
         metrics.inc("serve.jobs.failed")
-        job._event.set()
         self._resolve_followers(job)
 
     def _finish_from_cache(self, job: Job, entry: CacheEntry) -> None:
@@ -645,12 +609,3 @@ class PlacementServer:
             placement=entry.placement,
         )
         metrics.inc("serve.jobs.cache_hits")
-        job._event.set()
-
-    # -- helpers --------------------------------------------------------
-    def _make_device(self, scale: float, fabric: str = "zcu104") -> Any:
-        if self._device_factory is not None:
-            return self._device_factory(scale)
-        from repro.fpga import fabric_device
-
-        return fabric_device(fabric, scale)

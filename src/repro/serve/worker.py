@@ -39,7 +39,7 @@ from typing import Any
 # sign-off modules load here, so forked attempts inherit them; ``timing`` is
 # kept as a module so patches of ``timing.max_frequency`` reach the worker
 from repro import obs, timing
-from repro.clock import get_skew_model
+from repro.clock import get_skew_model, run_clock_section
 from repro.errors import ReproError
 from repro.placers.api import get_placer
 from repro.placers.placement import Placement
@@ -95,6 +95,7 @@ def _execute(payload: dict[str, Any]) -> dict[str, Any]:
     report = obs.RunReport.from_observation(
         ob, meta=meta, health=health.to_dict(), quality=quality
     )
+    report.clock = run_clock_section(config, placement, netlist)
     return {
         "seed": seed,
         "quality": quality,

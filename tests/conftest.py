@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.accelgen import generate_suite, suite_config
+from repro.accelgen import generate_suite
 from repro.fpga import small_device
 from repro.netlist import CellType, Netlist
 

@@ -155,7 +155,6 @@ def generate_accelerator_reference(
 
         # adder tree: reduce PE outputs pairwise with CARRY (+helper LUT)
         level = pe_outs
-        lvl = 0
         while len(level) > 1:
             nxt: list[int] = []
             for i in range(0, len(level) - 1, 2):
@@ -168,7 +167,6 @@ def generate_accelerator_reference(
             if len(level) % 2:
                 nxt.append(level[-1])
             level = nxt
-            lvl += 1
         acc = b.cell(f"pu{pu}/acc", CellType.FF, role="acc", pu=pu)
         b.net("acc_d", level[0], [acc], weight=CASCADE_NET_WEIGHT)
         acc_ffs.append(acc)

@@ -1,6 +1,5 @@
 """Unit tests for the CNN-accelerator benchmark generator."""
 
-import numpy as np
 import pytest
 
 from repro.accelgen import AcceleratorConfig, SUITE_NAMES, generate_accelerator, generate_suite, suite_config

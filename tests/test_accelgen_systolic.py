@@ -3,7 +3,6 @@
 import pytest
 
 from repro.accelgen import SystolicConfig, generate_systolic
-from repro.netlist import CellType
 
 
 @pytest.fixture(scope="module")

@@ -43,8 +43,6 @@ def cost_matrix_ref(a: DatapathDSPAssigner, placement, prev_sites):
             wl = np.zeros(m)
         cost[k] = cfg.wl_scale * wl
     cost += a._angle_coef[:, None] * a._site_cos[None, :]
-    if cfg.congestion_weight > 0 and a._site_congestion is not None:
-        cost += cfg.congestion_weight * a._site_congestion[None, :]
     if prev_sites is not None and cfg.eta > 0:
         for k in range(n):
             for partner, offset in a._partners[k]:

@@ -35,8 +35,6 @@ class TestWLColors:
 
     def test_isomorphic_tiles_share_colors(self, twin_netlist):
         colors = wl_colors(twin_netlist, n_rounds=2)
-        a = twin_netlist.cell_by_name("t0_dsp").index
-        b = twin_netlist.cell_by_name("t1_dsp").index
         # t0_dsp's LUT has an extra fanin (hub edge) — compare the FFs,
         # whose 1-hop neighbourhoods are truly isomorphic
         fa = twin_netlist.cell_by_name("t0_ff").index

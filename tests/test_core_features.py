@@ -126,10 +126,8 @@ class TestSampledApproximation:
         rng = np.random.default_rng(0)
         nl = Netlist("mid")
         n = 120
-        cells = [
+        for i in range(n):
             nl.add_cell(f"c{i}", CellType.DSP if i % 7 == 0 else CellType.LUT)
-            for i in range(n)
-        ]
         for j in range(int(n * 2)):
             a, b = rng.integers(0, n, 2)
             if a != b:

@@ -2,9 +2,6 @@
 
 import collections
 
-import numpy as np
-import pytest
-
 from repro.core.extraction import iddfs_dsp_paths
 from repro.netlist import CellType, Netlist
 from tests.oracles import iddfs_dsp_paths_reference, iddfs_single_source

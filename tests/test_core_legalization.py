@@ -103,7 +103,6 @@ class TestLegalize:
             res = CascadeLegalizer(nl, small_dev).legalize(desired)
         assert not res.used_ilp
         assert len(set(res.site_of.values())) == len(res.site_of)
-        sites = small_dev.sites("DSP")
         for m in nl.macros:
             sids = [res.site_of[i] for i in m.dsps]
             assert all(b == a + 1 for a, b in zip(sids, sids[1:]))

@@ -1,6 +1,5 @@
 """Evaluation harness tests: tables, visualization, profiling, experiments."""
 
-import numpy as np
 import pytest
 
 from repro import obs

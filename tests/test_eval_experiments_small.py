@@ -5,7 +5,6 @@ these tests exercise the same code paths at scale 0.04 with oracle
 identification so the whole harness stays covered by `pytest tests/`.
 """
 
-import dataclasses
 import time
 
 import pytest

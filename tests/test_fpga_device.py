@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.fpga import PSBlock, SiteColumn, small_device
+from repro.fpga import PSBlock, SiteColumn
 
 
 class TestSiteOrdering:

@@ -4,8 +4,9 @@ A client that only submits jobs imports ``repro.serve``,
 ``repro.placers.api`` and ``repro.accelgen``. Solver subpackages are
 imported where they are used (inside the function, or by the flow modules a
 worker loads), so they stay off the caller's set-up path. networkx is a
-test dependency: no product path imports it. A serve worker imports nothing
-after the fork: ``repro.serve.worker`` brings its sign-off modules along.
+test dependency, and the profilers belong to ``python -m cProfile``: no
+product path imports either. A serve worker imports nothing after the
+fork: ``repro.serve.worker`` brings its sign-off modules along.
 
 The loop-reference oracles live in ``tests/oracles``; no product module may
 import them (or anything else under ``tests``).
@@ -27,6 +28,8 @@ HEAVY = (
     "networkx",
 )
 
+PROFILERS = ("cProfile", "pstats", "tracemalloc")
+
 
 def _run(code: str) -> str:
     """Run ``code`` in a fresh interpreter on this ``repro``; its stdout."""
@@ -42,7 +45,7 @@ def test_serve_caller_imports_no_heavy_scipy():
     code = (
         "import sys\n"
         "import repro.serve, repro.placers.api, repro.accelgen\n"
-        f"print(','.join(m for m in {HEAVY!r} if m in sys.modules))\n"
+        f"print(','.join(m for m in {HEAVY + PROFILERS!r} if m in sys.modules))\n"
     )
     assert _run(code) == ""
 
@@ -62,9 +65,9 @@ def test_cold_place_and_sign_off_never_import_networkx():
         "sta = StaticTimingAnalyzer(nl)\n"
         "max_frequency(sta, placement, route)\n"
         "sta.analyze(placement, route)\n"
-        "print('networkx' in sys.modules)\n"
+        f"print(','.join(m for m in {('networkx', *PROFILERS)!r} if m in sys.modules))\n"
     )
-    assert _run(code) == "False"
+    assert _run(code) == ""
 
 
 def test_serve_worker_imports_nothing_after_fork():

@@ -1,6 +1,5 @@
 """Cross-module integration tests: the full paper pipeline at small scale."""
 
-import numpy as np
 import pytest
 
 from repro.accelgen import generate_suite

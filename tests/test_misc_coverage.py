@@ -1,8 +1,5 @@
 """Odds and ends: no-PS devices, SVG on PS-less fabrics, CLI verilog flag."""
 
-import numpy as np
-import pytest
-
 from repro.cli import main
 from repro.eval.visualization import placement_to_svg
 from repro.netlist import CellType, Netlist

@@ -2,8 +2,6 @@
 
 import re
 
-import pytest
-
 from repro.netlist.verilog import netlist_to_verilog, save_verilog
 from repro.placers import VivadoLikePlacer
 

@@ -262,7 +262,7 @@ class TestObservedFlow:
     """End-to-end: the full DSPlacer flow emits a schema-valid report."""
 
     def test_dsplacer_run_report(self, small_dev, mini_accel):
-        with obs.observe() as ob:
+        with obs.observe():
             result = DSPlacer(small_dev).place(mini_accel)
         rep = result.report
         assert rep is not None
@@ -296,7 +296,7 @@ class TestObservedFlow:
 
         dev = slot_fabric(0.05)
         cfg = DSPlacerConfig(skew_model="htree", outer_iterations=1)
-        with obs.observe() as ob:
+        with obs.observe():
             result = DSPlacer(dev, cfg).place(mini_accel)
         rep = result.report
         assert rep is not None and rep.clock is not None
@@ -304,7 +304,7 @@ class TestObservedFlow:
         assert rep.clock["n_sinks"] > 0
         assert validate_report(rep.to_dict()) == []
         # the default configuration keeps reports clock-less
-        with obs.observe() as ob:
+        with obs.observe():
             plain = DSPlacer(dev).place(mini_accel)
         assert plain.report.clock is None
 

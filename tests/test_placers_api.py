@@ -1,10 +1,9 @@
-"""The unified Placer protocol: conformance, cancellation, config hashing."""
+"""The unified Placer protocol: conformance, config hashing."""
 
 import json
 
 import pytest
 
-from repro.core import DSPlacer
 from repro.core.dsplacer import DSPlacerConfig
 from repro.errors import ConfigurationError
 from repro.placers import (
@@ -13,6 +12,7 @@ from repro.placers import (
     Placer,
     get_placer,
 )
+from repro.placers.amf_like import AMFLikePlacer
 from repro.placers.api import PlacementRequest, PlacementResponse
 from repro.placers.vivado_like import VivadoLikePlacer
 
@@ -40,64 +40,22 @@ class TestProtocolConformance:
         assert result.placement is placement
         assert result.identification is not None
 
-    def test_adapter_seed_override_rebuilds(self, small_dev, mini_accel):
-        adapter = get_placer("dsplacer", small_dev, seed=0)
-        adapter.place(mini_accel, seed=7)
-        # the underlying DSPlacer keeps seed 0; the run used 7
-        assert adapter.dsplacer.config.seed == 0
-        assert adapter.last_result is not None
-
-    def test_as_placer_shortcut(self, small_dev):
-        placer = DSPlacer(small_dev)
-        adapter = placer.as_placer()
-        assert isinstance(adapter, DSPlacerAdapter)
-        assert adapter.dsplacer is placer
-
 
 class TestShimRemoved:
-    """The PR 2 ``place(netlist, device)`` deprecation shim is gone."""
+    """A baseline placer is bound to its device at construction."""
 
     def test_positional_device_rejected(self, small_dev, mini_accel):
-        # the second positional is now `placement`; with no bound device the
-        # call errors loudly instead of silently re-binding
-        with pytest.raises((TypeError, AttributeError, ConfigurationError)):
-            VivadoLikePlacer(seed=0).place(mini_accel, small_dev)
+        # the second positional is `placement`; a device passed there errors
+        # loudly instead of silently re-binding
+        for baseline in (VivadoLikePlacer, AMFLikePlacer):
+            placer = baseline(seed=0, device=small_dev)
+            with pytest.raises((TypeError, AttributeError, ConfigurationError)):
+                placer.place(mini_accel, small_dev)
 
-    def test_no_device_anywhere_is_an_error(self, mini_accel):
-        with pytest.raises(ConfigurationError, match="no device"):
-            VivadoLikePlacer(seed=0).place(mini_accel)
-
-
-class TestCancellationHook:
-    @pytest.mark.parametrize("name", PLACER_NAMES)
-    def test_every_engine_has_cancel(self, name, small_dev):
-        placer = get_placer(name, small_dev, seed=0)
-        assert callable(placer.cancel)
-
-    def test_dsplacer_cancel_stops_outer_loop(self, small_dev, mini_accel):
-        adapter = get_placer("dsplacer", small_dev, seed=0)
-        adapter.dsplacer.request_cancel()
-        placement = adapter.place(mini_accel)
-        assert placement.is_legal()
-        health = adapter.last_result.health
-        assert health.count("cancelled") == 1
-        assert health.degraded
-        # no assignment work happened: the flag fired before iteration 1
-        assert adapter.last_result.mcf_iterations_used == []
-
-    def test_cancel_flag_is_consumed(self, small_dev, mini_accel):
-        adapter = get_placer("dsplacer", small_dev, seed=0)
-        adapter.cancel()
-        adapter.place(mini_accel)
-        assert adapter.last_result.health.count("cancelled") == 1
-        # next run is clean
-        adapter.place(mini_accel)
-        assert adapter.last_result.health.count("cancelled") == 0
-
-    def test_baseline_cancel_is_safe(self, small_dev, mini_accel):
-        placer = get_placer("vivado", small_dev, seed=0)
-        placer.cancel()  # before the run: single pass still completes
-        assert placer.place(mini_accel).is_legal()
+    def test_no_device_anywhere_is_an_error(self):
+        for baseline in (VivadoLikePlacer, AMFLikePlacer):
+            with pytest.raises(TypeError, match="device"):
+                baseline(seed=0)
 
 
 class TestConfigRoundTrip:

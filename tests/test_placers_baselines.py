@@ -1,7 +1,6 @@
 """Baseline placer flows: Vivado-like, AMF-like, refine."""
 
 import numpy as np
-import pytest
 
 from repro.placers import (
     AMFLikePlacer,

@@ -1,6 +1,5 @@
 """Placement container tests: HPWL, legality checks."""
 
-import numpy as np
 import pytest
 
 from repro.core import DSPlacer

@@ -92,7 +92,8 @@ def test_hpwl_translation_invariance(seed, shift):
     dev = small_device()
     rng = np.random.default_rng(seed)
     nl = Netlist("p")
-    cells = [nl.add_cell(f"c{i}", CellType.LUT) for i in range(8)]
+    for i in range(8):
+        nl.add_cell(f"c{i}", CellType.LUT)
     for j in range(6):
         a, b = rng.integers(0, 8, 2)
         if a != b:

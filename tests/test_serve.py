@@ -3,7 +3,7 @@
 import pytest
 
 from repro.accelgen import generate_suite
-from repro.clock import get_skew_model
+from repro.clock import clock_report_section, get_skew_model
 from repro.errors import JobCancelledError, ServeError
 from repro.fpga import fabric_device
 from repro.netlist import CascadeMacro, CellType, netlist_from_json, netlist_to_json
@@ -356,3 +356,20 @@ class TestSignOff:
         assert resp.quality["wns_ns"] == rep.wns_ns
         assert resp.quality["tns_ns"] == rep.tns_ns
         assert resp.quality["fmax_mhz"] == max_frequency(sta, placement, route)
+
+    def test_htree_job_reports_its_clock(self):
+        """A served job with non-default clocking records the ``clock``
+        section that ``DSPlacer.place`` and ``repro place`` record."""
+        device = fabric_device("slot_fabric", 0.05)
+        netlist = generate_suite("skynet", scale=0.05, device=device, seed=0)
+        request = PlacementRequest(
+            suite="skynet", scale=0.05, fabric="slot_fabric", config={"skew_model": "htree"}
+        )
+        with PlacementServer(workers=1) as srv:
+            resp = srv.submit(request, netlist=netlist, device=device).result(timeout=120)
+        resp.raise_for_status()
+        expected = clock_report_section(
+            get_skew_model("htree", device), resp.placement, netlist
+        )
+        assert resp.report["clock"] == expected
+        assert validate_report(resp.report) == []

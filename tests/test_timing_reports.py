@@ -1,10 +1,8 @@
 """Timing report utilities."""
 
-import numpy as np
 import pytest
 
-from repro.netlist import CellType, Netlist
-from repro.placers import Placement, VivadoLikePlacer
+from repro.placers import VivadoLikePlacer
 from repro.timing import (
     StaticTimingAnalyzer,
     format_timing_report,
