@@ -9,7 +9,7 @@ with 0 (MLP), 1 and 2 graph-convolution layers, leave-one-out on two folds.
 import numpy as np
 
 from repro.eval import render_table
-from repro.eval.experiments import get_netlist, get_sample
+from repro.eval.experiments import get_sample
 from repro.ml.train import train_gcn
 
 FOLDS = ("skynet", "skrskr2")

@@ -7,8 +7,6 @@ datapath set is (a) the oracle labels, (b) everything (no pruning), on one
 mid-size suite, reporting f_max and datapath compactness.
 """
 
-import pytest
-
 from repro.core import DSPlacer, DSPlacerConfig
 from repro.core.extraction import DatapathIdentifier
 from repro.eval import render_table

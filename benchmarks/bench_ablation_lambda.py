@@ -7,7 +7,6 @@ datapath; very large λ sacrifices wirelength for order.
 
 from repro.core import DSPlacer, DSPlacerConfig
 from repro.core.extraction import (
-    DatapathIdentifier,
     build_dsp_graph,
     iddfs_dsp_paths,
     prune_control_dsps,

@@ -18,8 +18,6 @@ Shape assertions (who wins, roughly by how much):
   require ordering and >1 margins).
 """
 
-import numpy as np
-
 from repro.eval import render_table, run_table2
 
 

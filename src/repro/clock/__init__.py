@@ -58,12 +58,11 @@ def clock_report_section(model: SkewModel, placement=None, netlist=None) -> dict
         return doc
     xy = placement.xy
     if netlist is not None:
+        from repro.netlist.csr import CELL_TYPE_CODES, get_csr
         from repro.timing.delay_model import SEQUENTIAL_KINDS
 
-        seq = np.array(
-            [c.ctype in SEQUENTIAL_KINDS for c in netlist.cells], dtype=bool
-        )
-        xy = xy[seq]
+        seq = np.array([t in SEQUENTIAL_KINDS for t in CELL_TYPE_CODES])
+        xy = xy[seq[get_csr(netlist).ctype_code]]
     arrivals = model.arrivals_at(placement.device, xy)
     if arrivals is not None and arrivals.size:
         mean = float(arrivals.mean())

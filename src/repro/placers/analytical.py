@@ -8,9 +8,12 @@ UTPlaceF, AMF-Placer all share this skeleton):
    :class:`ChainElimination`; Jacobi-PCG on the remaining hub core,
    :func:`jacobi_pcg`);
 2. spread overlapping cells by histogram-equalizing the placement
-   marginals (x globally, then y within vertical slabs);
+   marginals (x globally, then y within vertical slabs; :func:`_equalize`);
 3. re-solve with pseudo-anchors of growing weight pulling cells toward
    their spread positions, and iterate.
+
+The loop runs on plain arrays, bit for bit equal to scipy's ``cg`` and to
+``np.histogram`` + ``np.interp`` spreading (see the two functions).
 
 The engine also supports *incremental* mode: an arbitrary movable mask plus
 warm-start positions, which is how DSPlacer alternates "fix datapath DSPs,
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from repro.errors import SolverConvergenceError
 from repro.fpga.device import Device
@@ -41,15 +45,14 @@ _AREA_OF = np.array([CELL_AREA.get(t.value, 1.0) for t in CELL_TYPE_CODES])
 #: its start ``x0`` (a floating component at its start centroid), where a
 #: bare ``ε I`` would pull it to the origin.
 SOLVE_EPS = 1e-9
-
-
-def inverse_diagonal(a: sp.csr_matrix) -> np.ndarray:
-    """The Jacobi preconditioner ``1 / max(diag(a), 1e-12)``."""
-    return 1.0 / np.maximum(a.diagonal(), 1e-12)
+#: Pseudo-anchor weight α of the first re-solve, and its growth per re-solve.
+ANCHOR_WEIGHT, ANCHOR_GROWTH = 0.02, 1.8
 
 
 def jacobi_pcg(
-    a: sp.csr_matrix,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
     b: np.ndarray,
     x0: np.ndarray,
     inv_diag: np.ndarray,
@@ -57,14 +60,17 @@ def jacobi_pcg(
     maxiter: int,
     atol: float = 0.0,
 ) -> tuple[np.ndarray, int, bool]:
-    """CG for the SPD system ``a x = b``, preconditioned by ``inv_diag``.
+    """CG for the SPD system ``a x = b``, preconditioned by ``inv_diag``;
+    ``a`` is square and given by its CSR arrays ``(indptr, indices, data)``.
 
     Runs ``scipy.sparse.linalg.cg(a, b, x0, rtol=rtol, atol=atol,
     maxiter=maxiter, M=diags(inv_diag))``'s recurrences operation for
     operation: the stop test ``‖r‖ < max(atol, rtol·‖b‖)`` before each
     iteration, the ``r = b`` shortcut for an all-zero ``x0``, zeros for
-    ``b == 0``. The iterates are therefore scipy's bit for bit; only its
-    ``LinearOperator``/``dia_matrix`` dispatch around every product is gone.
+    ``b == 0``. The iterates are therefore scipy's bit for bit. ``a @ p``
+    is ``csr_matvec``, the compiled routine scipy's ``@`` ends in, into a
+    zeroed buffer reused across iterations; ``z``, ``x``, ``r`` update in
+    place.
 
     Returns:
         ``(x, iterations, converged)``; ``converged`` is False when
@@ -74,23 +80,34 @@ def jacobi_pcg(
     if bnrm2 == 0:
         return np.zeros_like(b), 0, True
     atol = max(atol, rtol * bnrm2)
+    n = b.size
     x = np.array(x0, dtype=np.float64)
-    r = b - a @ x if x.any() else b.copy()
-    rho_prev, p = None, None
+    # csr_matvec checks no size: a mismatch would read past an array
+    if x.shape != (n,) or indptr.shape != (n + 1,) or indptr[-1] > min(indices.size, data.size):
+        raise ValueError("jacobi_pcg: the CSR arrays, b and x0 disagree in size")
+    q = np.zeros(n)
+    if x.any():
+        csr_matvec(n, n, indptr, indices, data, x, q)
+        r = b - q
+    else:
+        r = b.copy()
+    z, p, step = np.empty(n), np.empty(n), np.empty(n)
+    rho_prev = None
     for it in range(maxiter):
         if math.sqrt(r.dot(r)) < atol:
             return x, it, True
-        z = inv_diag * r
+        np.multiply(inv_diag, r, out=z)
         rho = np.dot(r, z)
         if it > 0:
             p *= rho / rho_prev
             p += z
         else:
-            p = z.copy()
-        q = a @ p
+            p[:] = z
+        q.fill(0.0)
+        csr_matvec(n, n, indptr, indices, data, p, q)
         alpha = rho / np.dot(p, q)
-        x += alpha * p
-        r -= alpha * q
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, q, out=step)
         rho_prev = rho
     return x, maxiter, False
 
@@ -219,6 +236,8 @@ class ChainElimination:
         uniq, self._core_slot = np.unique(keys, return_inverse=True)
         self._core_indices = uniq % n_hub
         self._core_indptr = _ptr(np.bincount(uniq // n_hub, minlength=hubs.size))
+        # each hub row's diagonal slot (an SPD matrix stores every diagonal)
+        self._core_diag = np.flatnonzero(uniq // n_hub == self._core_indices)
 
     def solve(
         self,
@@ -265,15 +284,8 @@ class ChainElimination:
             [self._block_data + shift * self._block_diag, self._fill_weight * sol[self._fill_at]]
         )
         n_hub = self.hubs.size
-        s = sp.csr_matrix(
-            (
-                np.bincount(self._core_slot, weights=weights, minlength=self._core_indices.size),
-                self._core_indices,
-                self._core_indptr,
-            ),
-            shape=(n_hub, n_hub),
-        )
-        inv_diag = inverse_diagonal(s)
+        s = np.bincount(self._core_slot, weights=weights, minlength=self._core_indices.size)
+        inv_diag = 1.0 / np.maximum(s[self._core_diag], 1e-12)
         x = np.empty(b.shape)
         iterations = unconverged = 0
         for j in range(b.shape[1]):
@@ -283,6 +295,8 @@ class ChainElimination:
                 minlength=n_hub,
             )
             x_hub, iters, converged = jacobi_pcg(
+                self._core_indptr,
+                self._core_indices,
                 s,
                 b_core,
                 x0[self.hubs, j],
@@ -315,8 +329,6 @@ class GlobalPlaceConfig:
     n_iterations: int = 6
     n_bins: int = 32
     n_slabs: int = 4
-    anchor_weight: float = 0.02
-    anchor_growth: float = 1.8
     cg_rtol: float = 1e-5
     cg_maxiter: int = 500
     avoid_ps: bool = True
@@ -405,13 +417,13 @@ class QuadraticGlobalPlacer:
             pos, iters = _solve(0.0, None)
             span.set(iterations=iters)
         pos += rng.normal(scale=1.0, size=pos.shape)
-        alpha = cfg.anchor_weight
+        alpha = ANCHOR_WEIGHT
         for _ in range(cfg.n_iterations):
             spread = self._spread(pos, areas, device)
             with trace.span("global_place.solve") as span:
                 pos, iters = _solve(alpha, spread)
                 span.set(iterations=iters)
-            alpha *= cfg.anchor_growth
+            alpha *= ANCHOR_GROWTH
         pos = self._spread(pos, areas, device)
         place.xy[mov] = pos
         return place
@@ -452,13 +464,14 @@ class QuadraticGlobalPlacer:
 
     # ------------------------------------------------------------------
     def _spread(self, pos: np.ndarray, areas: np.ndarray, device: Device) -> np.ndarray:
-        """Histogram-equalize x globally, then y within vertical slabs.
+        """Histogram-equalize x globally, then y within vertical slabs, clip
+        into the fabric, and push cells out of the PS block.
 
         Slab membership uses clipped ``np.digitize`` so every cell lands in
         exactly one slab. The previous ``>= edge[s] & < edge[s+1]`` scan
         silently skipped cells sitting at (or, via the ``_equalize``
         monotonicity epsilon, just above) the last slab edge — their y was
-        never equalized.
+        never equalized. A cell in the PS block moves past its nearer edge.
         """
         cfg = self.config
         w = device.width * cfg.fabric_scale
@@ -466,11 +479,16 @@ class QuadraticGlobalPlacer:
         out = pos.copy()
         out[:, 0] = _equalize(out[:, 0], areas, 0.0, w, cfg.n_bins)
         slab = _slab_of(out[:, 0], w, cfg.n_slabs)
-        out[:, 1] = _equalize_grouped(out[:, 1], areas, slab, cfg.n_slabs, 0.0, h, cfg.n_bins)
+        out[:, 1] = _equalize(out[:, 1], areas, 0.0, h, cfg.n_bins, slab, cfg.n_slabs)
         out[:, 0] = np.clip(out[:, 0], 1.0, w - 1.0)
         out[:, 1] = np.clip(out[:, 1], 1.0, h - 1.0)
-        if cfg.avoid_ps and device.ps is not None:
-            out = _push_out_of_ps(out, device)
+        ps = device.ps
+        if cfg.avoid_ps and ps is not None:
+            x, y = out[:, 0], out[:, 1]
+            inside = (x < ps.x1) & (y < ps.y1)
+            right = ps.x1 - x <= ps.y1 - y
+            x[inside & right] = ps.x1 + 1.0
+            y[inside & ~right] = ps.y1 + 1.0
         return out
 
 
@@ -481,84 +499,63 @@ def _slab_of(x: np.ndarray, width: float, n_slabs: int) -> np.ndarray:
     return np.digitize(x, inner)
 
 
-def _equalize_grouped(
+def _equalize(
     coords: np.ndarray,
     areas: np.ndarray,
-    group: np.ndarray,
-    n_groups: int,
     lo: float,
     hi: float,
     n_bins: int,
+    group: np.ndarray | None = None,
+    n_groups: int = 1,
 ) -> np.ndarray:
-    """Equalize each group's coords like ``_equalize``, all groups at once.
+    """Monotone remap of coords so each group's area-weighted marginal on
+    ``[lo, hi]`` is uniform; one group without ``group``. Groups of two or
+    fewer cells (when grouped) and groups with no area keep their coords.
 
-    One flat ``np.bincount`` builds every group's area marginal; the interp
-    back onto the warped edges is a gathered form of ``np.interp`` (same
-    ``fp[j] + slope · (x − xp[j])`` evaluation). Groups with ≤ 2 members or
-    zero in-range area keep their coords, matching the per-group loop.
+    Per group this is ``np.histogram`` on ``n_bins`` uniform bins, then
+    ``np.interp`` onto the equalized edges, bit for bit when every partial
+    sum of ``areas`` is exact in float64 (``CELL_AREA``'s multiples of 0.5):
+    then summation order cannot change a bit, and one ``bincount`` gives the
+    histogram. Bin ``j = searchsorted(edges, c, "right") − 1`` comes from
+    ``floor((c − lo)·n_bins/(hi − lo))`` clamped to ``[−1, n_bins]`` and one
+    correction step against the ±inf-padded edges (np.histogram's uniform
+    method); ``c == hi`` counts in the last bin. The remap is np.interp's
+    ``slope[j]·(c − edges[j]) + new_edges[j]``; below ``lo`` it gives
+    ``new_edges[0]``, at or above ``hi`` ``new_edges[-1]``. Coords must be
+    finite or NaN; a NaN adds no area and maps to NaN, as in numpy.
     """
     if coords.size == 0:
         return coords
     edges = np.linspace(lo, hi, n_bins + 1)
-    # np.histogram semantics: half-open bins, closed last bin, and values
-    # outside [lo, hi] contribute no weight
-    b = np.searchsorted(edges, coords, side="right") - 1
-    j = np.clip(b, 0, n_bins - 1)
-    in_range = (coords >= lo) & (coords <= hi)
+    padded = np.concatenate(([-np.inf], edges, [np.inf]))
+    # k = j + 1 indexes ``padded``; fmax sends NaN to k = 0, where no
+    # correction fires
+    t = np.floor((coords - lo) * (n_bins / (hi - lo)))
+    k = np.fmin(np.fmax(t, -1.0), n_bins).astype(np.intp) + 1
+    k -= coords < padded[k]
+    k += coords >= padded[k + 1]
+    # per group, slot k of n_bins + 2: below lo, the bins, at or above hi
+    stride = n_bins + 2
+    base = 0 if group is None else group * stride
+    slot = k + base
+    keep = (coords >= lo) & (coords <= hi)
     hist = np.bincount(
-        (group * n_bins + j)[in_range],
-        weights=areas[in_range],
-        minlength=n_groups * n_bins,
-    ).reshape(n_groups, n_bins)
-    counts = np.bincount(group, minlength=n_groups)
-    cdf = np.concatenate([np.zeros((n_groups, 1)), np.cumsum(hist, axis=1)], axis=1)
+        (np.minimum(k, n_bins) + base)[keep], weights=areas[keep], minlength=n_groups * stride
+    ).reshape(n_groups, stride)
+    cdf = np.cumsum(hist[:, : n_bins + 1], axis=1)  # slot 0 holds no area
     total = cdf[:, -1]
-    active = (counts > 2) & (total > 0)
+    active = total > 0
+    if group is not None:
+        active &= np.bincount(group, minlength=n_groups) > 2
     if not active.any():
-        return coords.copy()
-    safe_total = np.where(total > 0, total, 1.0)
-    new_edges = lo + (cdf / safe_total[:, None]) * (hi - lo)
-    new_edges = np.maximum.accumulate(new_edges + np.arange(n_bins + 1) * 1e-9, axis=1)
-    fp0 = new_edges[group, j]
-    slope = (new_edges[group, j + 1] - fp0) / (edges[j + 1] - edges[j])
-    res = slope * (coords - edges[j]) + fp0
-    res = np.where(b < 0, new_edges[group, 0], res)
-    res = np.where(b >= n_bins, new_edges[group, -1], res)
-    return np.where(active[group], res, coords)
-
-
-def _equalize(coords: np.ndarray, areas: np.ndarray, lo: float, hi: float, n_bins: int) -> np.ndarray:
-    """Monotone remap of coords so the area-weighted marginal is uniform."""
-    if coords.size == 0:
         return coords
-    edges = np.linspace(lo, hi, n_bins + 1)
-    hist, _ = np.histogram(coords, bins=edges, weights=areas)
-    cdf = np.concatenate(([0.0], np.cumsum(hist)))
-    total = cdf[-1]
-    if total <= 0:
-        return coords
-    cdf /= total
-    # where each original edge should land so that density is uniform
-    new_edges = lo + cdf * (hi - lo)
+    new_edges = lo + (cdf / np.where(active, total, 1.0)[:, None]) * (hi - lo)
     # keep strictly monotone for interpolation
-    new_edges = np.maximum.accumulate(new_edges + np.arange(n_bins + 1) * 1e-9)
-    return np.interp(coords, edges, new_edges)
-
-
-def _push_out_of_ps(pos: np.ndarray, device: Device) -> np.ndarray:
-    """Project any point inside the PS block to its nearest outer edge."""
-    ps = device.ps
-    inside = (pos[:, 0] < ps.x1) & (pos[:, 1] < ps.y1)
-    if not inside.any():
-        return pos
-    out = pos.copy()
-    dx = ps.x1 - out[inside, 0]
-    dy = ps.y1 - out[inside, 1]
-    go_right = dx <= dy
-    xs = out[inside, 0].copy()
-    ys = out[inside, 1].copy()
-    xs[go_right] = ps.x1 + 1.0
-    ys[~go_right] = ps.y1 + 1.0
-    out[inside, 0] = xs
-    out[inside, 1] = ys
-    return out
+    new_edges = np.maximum.accumulate(new_edges + np.arange(n_bins + 1) * 1e-9, axis=1)
+    # slot tables: zero slope outside the range, so 0·(c − edge) + end edge
+    slope = np.zeros((n_groups, stride))
+    slope[:, 1:-1] = np.diff(new_edges, axis=1) / np.diff(edges)
+    start = np.concatenate([new_edges[:, :1], new_edges], axis=1).ravel()
+    at = np.concatenate([edges[:1], edges])
+    out = slope.ravel()[slot] * (coords - at[k]) + start[slot]
+    return out if active.all() else np.where(active[group], out, coords)

@@ -7,12 +7,7 @@ import numpy as np
 
 from repro.fpga.device import Device
 from repro.netlist.cell import CellType
-from repro.placers.analytical import (
-    QuadraticGlobalPlacer,
-    _equalize,
-    _push_out_of_ps,
-    _slab_of,
-)
+from repro.placers.analytical import QuadraticGlobalPlacer, _slab_of
 from repro.placers.legalizer import Legalizer, _spiral
 from repro.placers.placement import Placement
 
@@ -151,8 +146,47 @@ def refine_sites_reference(
     return accepted
 
 
+def _equalize(coords: np.ndarray, areas: np.ndarray, lo: float, hi: float, n_bins: int) -> np.ndarray:
+    """Monotone remap of coords so the area-weighted marginal is uniform."""
+    if coords.size == 0:
+        return coords
+    edges = np.linspace(lo, hi, n_bins + 1)
+    hist, _ = np.histogram(coords, bins=edges, weights=areas)
+    cdf = np.concatenate(([0.0], np.cumsum(hist)))
+    total = cdf[-1]
+    if total <= 0:
+        return coords
+    cdf /= total
+    # where each original edge should land so that density is uniform
+    new_edges = lo + cdf * (hi - lo)
+    # keep strictly monotone for interpolation
+    new_edges = np.maximum.accumulate(new_edges + np.arange(n_bins + 1) * 1e-9)
+    return np.interp(coords, edges, new_edges)
+
+
+def _push_out_of_ps(pos: np.ndarray, device: Device) -> np.ndarray:
+    """Project any point inside the PS block to its nearest outer edge."""
+    ps = device.ps
+    inside = (pos[:, 0] < ps.x1) & (pos[:, 1] < ps.y1)
+    if not inside.any():
+        return pos
+    out = pos.copy()
+    dx = ps.x1 - out[inside, 0]
+    dy = ps.y1 - out[inside, 1]
+    go_right = dx <= dy
+    xs = out[inside, 0].copy()
+    ys = out[inside, 1].copy()
+    xs[go_right] = ps.x1 + 1.0
+    ys[~go_right] = ps.y1 + 1.0
+    out[inside, 0] = xs
+    out[inside, 1] = ys
+    return out
+
+
 class ReferenceSpreadPlacer(QuadraticGlobalPlacer):
-    """Same placer; the y equalization runs slab by slab in a Python loop."""
+    """Same placer; each axis is equalized by ``np.histogram`` and
+    ``np.interp``, the y axis slab by slab in a Python loop, and the PS
+    push runs on the inside cells' own copies."""
 
     def _spread(self, pos: np.ndarray, areas: np.ndarray, device: Device) -> np.ndarray:
         cfg = self.config

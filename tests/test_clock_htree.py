@@ -1,13 +1,23 @@
 """H-tree synthesis: determinism, geometry, balance, and vectorized skew_at."""
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.clock import ClockTree, HTreeConfig, synthesize_htree
+from repro.accelgen import generate_suite
+from repro.clock import (
+    ClockTree,
+    HTreeConfig,
+    clock_report_section,
+    get_skew_model,
+    synthesize_htree,
+)
 from repro.errors import ConfigurationError
 from repro.fpga import slot_fabric, small_device
+from repro.placers import Placement
+from repro.timing.delay_model import SEQUENTIAL_KINDS
 
 DEV = small_device(n_dsp_cols=3, dsp_rows=12)
 
@@ -161,3 +171,22 @@ class TestConfigValidation:
         for key in ("depth", "n_taps", "total_wire_um",
                     "tap_delay_min_ns", "tap_delay_max_ns"):
             assert key in doc
+
+
+class TestReportSection:
+    def test_sinks_match_a_walk_over_the_cells(self, rng):
+        """The H-tree ``clock`` section reads its sinks from the kind codes;
+        it equals the section of the cells a walk over the rows calls
+        sequential."""
+        device = slot_fabric(0.05)
+        netlist = generate_suite("skynet", scale=0.05, device=device, seed=0)
+        placement = Placement(netlist, device)
+        n = len(placement.xy)
+        placement.xy[:] = rng.uniform(0.0, [device.width, device.height], (n, 2))
+        model = get_skew_model("htree", device)
+        walk = np.array([c.ctype in SEQUENTIAL_KINDS for c in netlist.cells])
+        assert 0 < walk.sum() < n
+        sinks = SimpleNamespace(xy=placement.xy[walk], device=device)
+        expected = clock_report_section(model, sinks)
+        assert expected["n_sinks"] == walk.sum()
+        assert clock_report_section(model, placement, netlist) == expected

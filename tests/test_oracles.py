@@ -100,7 +100,7 @@ CASES = [
     ),
     OracleCase(
         "spread",
-        [(analytical_mod, "_equalize_grouped")],
+        [(analytical_mod, "_equalize")],
         lambda p: QuadraticGlobalPlacer()._spread(*_spread_args(p)),
         lambda p: ReferenceSpreadPlacer()._spread(*_spread_args(p)),
     ),

@@ -20,10 +20,19 @@ from repro.placers.analytical import (
     SOLVE_EPS,
     ChainElimination,
     _equalize,
-    _push_out_of_ps,
-    inverse_diagonal,
+    csr_matvec,
     jacobi_pcg,
 )
+from tests.oracles.placers import _push_out_of_ps
+
+
+def inverse_diagonal(a: sp.csr_matrix) -> np.ndarray:
+    """The Jacobi preconditioner ``1 / max(diag(a), 1e-12)``."""
+    return 1.0 / np.maximum(a.diagonal(), 1e-12)
+
+
+def _csr(a: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return a.indptr, a.indices, a.data
 
 
 class TestEqualize:
@@ -251,11 +260,11 @@ class TestCGCounters:
 
 class TestJacobiPCG:
     """scipy's ``cg`` with the same Jacobi preconditioner is the oracle:
-    same iteration count (through its callback), same solution."""
+    same iteration count (through its callback), same solution bit for bit."""
 
     @staticmethod
     def _pcg(a, b, x0, rtol, maxiter):
-        return jacobi_pcg(a, b, x0, inverse_diagonal(a), rtol, maxiter)
+        return jacobi_pcg(*_csr(a), b, x0, inverse_diagonal(a), rtol, maxiter)
 
     @pytest.fixture(scope="class")
     def grounded(self, mini_accel):
@@ -275,8 +284,8 @@ class TestJacobiPCG:
         return x, len(calls), info
 
     @staticmethod
-    def _assert_close(x, ref):
-        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    def _assert_equal(x, ref):
+        assert np.array_equal(x, ref)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -295,7 +304,7 @@ class TestJacobiPCG:
         ref, ref_iters, info = self._scipy(a, b, x0, rtol, 300)
         assert iters == ref_iters
         assert converged == (info == 0)
-        self._assert_close(x, ref)
+        self._assert_equal(x, ref)
 
     @pytest.mark.parametrize("atol_scale", [1e-8, 1e-3, 1.0])
     def test_atol_matches_scipy(self, grounded, atol_scale):
@@ -305,7 +314,9 @@ class TestJacobiPCG:
         b = rng.normal(size=n) * 100.0
         x0 = rng.uniform(0.0, 500.0, n)
         atol = atol_scale * np.linalg.norm(b)
-        x, iters, converged = jacobi_pcg(a, b, x0, inverse_diagonal(a), 1e-6, 300, atol=atol)
+        x, iters, converged = jacobi_pcg(
+            *_csr(a), b, x0, inverse_diagonal(a), 1e-6, 300, atol=atol
+        )
         calls = []
         ref, info = spla.cg(
             a,
@@ -318,7 +329,30 @@ class TestJacobiPCG:
             callback=calls.append,
         )
         assert (iters, converged) == (len(calls), info == 0)
-        self._assert_close(x, ref)
+        self._assert_equal(x, ref)
+
+    def test_matvec_is_scipys_on_hub_cores(self, mini_accel, small_dev, monkeypatch):
+        """The product the CG loop calls equals ``a @ p`` bit for bit on
+        every hub core of a placement (it is scipy's private ``csr_matvec``,
+        so a scipy that moves or changes it fails here)."""
+        cores = []
+        pcg = analytical.jacobi_pcg
+
+        def spy(indptr, indices, data, b, *args, **kwargs):
+            cores.append((indptr, indices, data.copy(), b.copy()))
+            return pcg(indptr, indices, data, b, *args, **kwargs)
+
+        monkeypatch.setattr(analytical, "jacobi_pcg", spy)
+        QuadraticGlobalPlacer(GlobalPlaceConfig(n_iterations=2)).place(mini_accel, small_dev)
+        assert cores and all(b.size for *_, b in cores)
+        rng = np.random.default_rng(0)
+        for indptr, indices, data, b in cores:
+            n = b.size
+            a = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+            for p in (b, rng.normal(scale=100.0, size=n)):
+                q = np.zeros(n)
+                csr_matvec(n, n, indptr, indices, data, p, q)
+                assert np.array_equal(q, a @ p)
 
     def test_zero_x0_takes_rhs_as_residual(self, grounded):
         n = grounded.shape[0]
@@ -328,8 +362,18 @@ class TestJacobiPCG:
         x, iters, converged = self._pcg(a, b, x0, 1e-5, 500)
         ref, ref_iters, info = self._scipy(a, b, x0, 1e-5, 500)
         assert converged and info == 0 and iters == ref_iters > 0
-        self._assert_close(x, ref)
+        self._assert_equal(x, ref)
         assert not x0.any()  # the caller's start vector is not written
+
+    def test_size_mismatch_raises(self, grounded):
+        """``csr_matvec`` checks no size, so the CG refuses mismatched arrays."""
+        n = grounded.shape[0]
+        a = grounded + sp.diags(np.full(n, 0.5))
+        inv = inverse_diagonal(a)
+        with pytest.raises(ValueError, match="disagree"):
+            jacobi_pcg(*_csr(a), np.ones(n), np.ones(n - 1), inv, 1e-5, 10)
+        with pytest.raises(ValueError, match="disagree"):
+            jacobi_pcg(*_csr(a), np.ones(n - 1), np.ones(n - 1), inv[1:], 1e-5, 10)
 
     def test_zero_rhs_returns_zeros(self, grounded):
         n = grounded.shape[0]
@@ -350,7 +394,7 @@ class TestJacobiPCG:
         ref, ref_iters, info = self._scipy(a, b, x0, 1e-10, 3)
         assert (iters, converged) == (3, False)
         assert ref_iters == 3 and info == 3
-        self._assert_close(x, ref)
+        self._assert_equal(x, ref)
 
 
 # ----------------------------------------------------------------------
@@ -591,7 +635,7 @@ class TestRegularizer:
 
     def test_jacobi_pcg_keeps_lone_cell(self):
         a, b, x0 = self._system()
-        x, _, _ = jacobi_pcg(a, b[:, 0], x0[:, 0], inverse_diagonal(a), 1e-12, 100)
+        x, _, _ = jacobi_pcg(*_csr(a), b[:, 0], x0[:, 0], inverse_diagonal(a), 1e-12, 100)
         assert abs(x[0] - x0[0, 0]) <= 1e-6
 
 

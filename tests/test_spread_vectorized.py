@@ -1,12 +1,14 @@
-"""Grouped-vs-loop spreading equivalence + slab-boundary regression.
+"""Spreading kernel vs its ``np.histogram``/``np.interp`` loop oracle,
+plus the slab-boundary regression.
 
 ``_spread`` historically selected slab members with ``>= edge[s] & <
 edge[s+1]`` scans, so a cell sitting at (or, via the ``_equalize``
 monotonicity epsilon, just above) the last slab edge matched no slab and
 its y coordinate was never equalized. The placer and its per-slab loop
 oracle (``tests.oracles.ReferenceSpreadPlacer``) share clipped
-``np.digitize`` membership; the grouped equalization must match the loop
-to 1e-9.
+``np.digitize`` membership. With the placer's own cell areas the kernel
+must equal the oracle bit for bit; with arbitrary areas (whose sums depend
+on their order) it must match to 1e-9.
 """
 
 import numpy as np
@@ -16,8 +18,9 @@ from hypothesis import strategies as st
 
 from repro.fpga import small_device
 from repro.placers import GlobalPlaceConfig, QuadraticGlobalPlacer
-from repro.placers.analytical import _equalize, _equalize_grouped, _slab_of
+from repro.placers.analytical import _AREA_OF, _equalize, _slab_of
 from tests.oracles import ReferenceSpreadPlacer
+from tests.oracles.placers import _equalize as _equalize_reference
 
 DEV = small_device(n_dsp_cols=3, dsp_rows=12)
 
@@ -39,6 +42,38 @@ def spread_case(draw):
     return pos, areas, n_slabs, n_bins
 
 
+@st.composite
+def cell_area_case(draw):
+    """Areas drawn from ``_AREA_OF``; per axis, coords uniform in and
+    around the (scaled) fabric, on a bin edge, one ULP either side of one,
+    or exactly at the far edge; few cells leave slabs of two or fewer."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    n = draw(st.one_of(st.integers(0, 8), st.integers(9, 300)))
+    n_bins = draw(st.integers(2, 40))
+    cfg = GlobalPlaceConfig(
+        n_bins=n_bins,
+        n_slabs=draw(st.integers(1, 6)),
+        fabric_scale=draw(st.sampled_from([1.0, 1.5])),
+        avoid_ps=draw(st.booleans()),
+    )
+    pos = np.empty((n, 2))
+    for axis, extent in enumerate((DEV.width, DEV.height)):
+        extent *= cfg.fabric_scale
+        kind = rng.integers(0, 5, n)
+        edge = rng.choice(np.linspace(0.0, extent, n_bins + 1), n)
+        pos[:, axis] = np.select(
+            [kind == 1, kind == 2, kind == 3, kind == 4],
+            [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf), np.full(n, extent)],
+            rng.uniform(-10.0, extent + 10.0, n),
+        )
+    return pos, rng.choice(_AREA_OF, n), cfg
+
+
+def test_cell_areas_are_multiples_of_half():
+    """The kernel's bit-identity rests on exact area sums in any order."""
+    assert not np.any(_AREA_OF % 0.5)
+
+
 class TestVectorizedEquivalence:
     @settings(max_examples=80, deadline=None)
     @given(spread_case())
@@ -49,18 +84,26 @@ class TestVectorizedEquivalence:
         b = ReferenceSpreadPlacer(cfg)._spread(pos, areas, DEV)
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
 
+    @settings(max_examples=150, deadline=None)
+    @given(cell_area_case())
+    def test_spread_bitwise_on_cell_areas(self, case):
+        pos, areas, cfg = case
+        a = QuadraticGlobalPlacer(cfg)._spread(pos, areas, DEV)
+        b = ReferenceSpreadPlacer(cfg)._spread(pos, areas, DEV)
+        assert np.array_equal(a, b)
+
     @settings(max_examples=60, deadline=None)
     @given(spread_case())
     def test_grouped_equalize_matches_per_group(self, case):
         pos, areas, n_slabs, n_bins = case
         y = pos[:, 1]
         group = _slab_of(pos[:, 0], DEV.width, n_slabs)
-        got = _equalize_grouped(y, areas, group, n_slabs, 0.0, DEV.height, n_bins)
+        got = _equalize(y, areas, 0.0, DEV.height, n_bins, group, n_slabs)
         expect = y.copy()
         for g in range(n_slabs):
             sel = group == g
             if sel.sum() > 2:
-                expect[sel] = _equalize(y[sel], areas[sel], 0.0, DEV.height, n_bins)
+                expect[sel] = _equalize_reference(y[sel], areas[sel], 0.0, DEV.height, n_bins)
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-9)
 
     def test_unknown_method_rejected(self):
