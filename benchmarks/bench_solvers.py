@@ -1,37 +1,19 @@
 """Micro-benchmarks of the optimization substrate.
 
 These are true pytest-benchmark timings (multiple rounds) for the solvers
-the DSPlacer inner loop leans on: the per-iterate assignment (LAPJVsp), the
-intra-column DP and the eq. 10 MILP.
+the cascade legalizer leans on: the intra-column DP and the eq. 10 MILP.
+The per-iterate assignment is one scipy ``linear_sum_assignment`` call,
+timed in a cold ``place`` by perfbench's ``assignment.solve_s``.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.placement import CascadeLegalizer
 from repro.core.placement.legalization import _Entity
 from repro.fpga import small_device
 from repro.fpga.device import SiteColumn
 from repro.netlist import Netlist
-from repro.solvers import ColumnBlock, legalize_column_rows, min_cost_assignment
-
-
-@pytest.fixture(scope="module")
-def assignment_instance():
-    rng = np.random.default_rng(0)
-    n, m, k = 100, 150, 24
-    arcs = []
-    for i in range(n):
-        for j in rng.choice(m, size=k, replace=False):
-            arcs.append((i, int(j), float(rng.uniform(0, 100))))
-        arcs.append((i, i, float(rng.uniform(0, 100))))  # guarantee feasibility
-    return n, m, arcs
-
-
-def test_bench_mcf_assignment(benchmark, assignment_instance):
-    n, m, arcs = assignment_instance
-    result = benchmark(min_cost_assignment, n, m, arcs)
-    assert len(result) == n
+from repro.solvers import ColumnBlock, legalize_column_rows
 
 
 def test_bench_intra_column_dp(benchmark):

@@ -47,11 +47,7 @@ from repro.core.extraction.identification import (
     DatapathIdentifier,
     IdentificationResult,
 )
-from repro.core.placement.assignment import (
-    ENGINE_FALLBACK_ORDER,
-    AssignmentConfig,
-    DatapathDSPAssigner,
-)
+from repro.core.placement.assignment import AssignmentConfig, DatapathDSPAssigner
 from repro.core.placement.incremental import replace_other_components
 from repro.core.placement.legalization import CascadeLegalizer
 from repro.errors import ConfigurationError, NetlistValidationError, ReproError
@@ -95,17 +91,8 @@ class DSPlacerConfig:
     base_placer: str = "vivado"
     lam: float = 100.0
     eta: float = 25.0
-    candidate_k: int = 48
     mcf_iterations: int = 50
     outer_iterations: int = 2
-    iddfs_max_depth: int = 6
-    #: Per-iterate assignment solver. "mcf" = sparse min-cost assignment
-    #: over candidate windows (the paper's min-cost-flow formulation,
-    #: solved by LEMON's C++ network simplex there); "lsa" = scipy's dense
-    #: Hungarian. Both solve the same linearized assignment — cross-checked
-    #: in the tests — and "auto" picks mcf for small instances and lsa
-    #: above 64 datapath DSPs, standing in for LEMON's C++ speed.
-    assignment_engine: str = "auto"
     #: enables the timing-driven extension: before each outer iteration an
     #: STA required-time pass computes per-cell slacks and the assignment
     #: pulls DSPs harder toward neighbours on failing paths.
@@ -135,7 +122,6 @@ class DSPlacerConfig:
         for knob, choices in (
             ("identification", METHODS),
             ("base_placer", tuple(BASE_PLACERS)),
-            ("assignment_engine", ("auto", *ENGINE_FALLBACK_ORDER)),
             ("skew_model", SKEW_MODEL_NAMES),
         ):
             value = getattr(self, knob)
@@ -143,6 +129,16 @@ class DSPlacerConfig:
                 raise ConfigurationError(
                     f"unknown {knob} {value!r}; choose from " + ", ".join(choices)
                 )
+        self.assignment_config()  # checks lam, eta, mcf_iterations, skew_weight
+
+    def assignment_config(self) -> AssignmentConfig:
+        """The assignment stage's knobs; building them checks them."""
+        return AssignmentConfig(
+            lam=self.lam,
+            eta=self.eta,
+            max_iterations=self.mcf_iterations,
+            skew_weight=self.skew_weight,
+        )
 
     # -- serialization --------------------------------------------------
     def to_dict(self) -> dict:
@@ -286,10 +282,7 @@ class DSPlacer:
         """
         cfg = self.config
         with trace.span(
-            "place",
-            netlist=netlist.name,
-            base_placer=cfg.base_placer,
-            engine=cfg.assignment_engine,
+            "place", netlist=netlist.name, base_placer=cfg.base_placer
         ) as root:
             result, checked = self._place_flow(netlist, initial_placement, sample)
             root.set(degraded=result.health.degraded)
@@ -352,7 +345,7 @@ class DSPlacer:
                 verdict = 2 * votes >= len(macro.dsps)
                 for i in macro.dsps:
                     flags[i] = verdict
-            paths = iddfs_dsp_paths(netlist, max_depth=cfg.iddfs_max_depth)
+            paths = iddfs_dsp_paths(netlist)
             dsp_graph = build_dsp_graph(netlist, paths)
             datapath_graph = prune_control_dsps(dsp_graph, flags)
             datapath_dsps = datapath_graph.nodes.tolist()
@@ -372,24 +365,13 @@ class DSPlacer:
         if not datapath_dsps:
             return result, None
 
-        engine = cfg.assignment_engine
-        if engine == "auto":
-            engine = "mcf" if len(datapath_dsps) <= 64 else "lsa"
         skew = get_skew_model(cfg.skew_model, self.device)
         assigner = DatapathDSPAssigner(
             netlist,
             self.device,
             datapath_graph,
             datapath_dsps,
-            AssignmentConfig(
-                lam=cfg.lam,
-                eta=cfg.eta,
-                candidate_k=cfg.candidate_k,
-                max_iterations=cfg.mcf_iterations,
-                engine=engine,
-                skew_weight=cfg.skew_weight,
-                seed=cfg.seed,
-            ),
+            cfg.assignment_config(),
             skew_model=skew,
         )
         legalizer = CascadeLegalizer(netlist, self.device)

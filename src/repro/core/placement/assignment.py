@@ -1,4 +1,4 @@
-"""Linearized min-cost-flow DSP assignment (paper Section IV-A).
+"""Linearized DSP assignment (paper Section IV-A).
 
 The 0-1 quadratic program (eq. 7/8) is linearized around the previous
 iterate (eq. 9, TILA-style), giving each (DSP i, site j) pair a closed-form
@@ -16,23 +16,23 @@ cost:
   previous position of a cascade partner.
 
 Each iterate is an assignment problem under constraints (4); its constraint
-matrix is totally unimodular, so the min-cost-flow solution is integral.
-The ``engine`` knob selects the MCF formulation over K-nearest candidate
-arcs (paper-faithful; solved by the compiled sparse kernel in
-:mod:`repro.solvers.mcf`) or a dense Hungarian solve (`scipy`) — both
-exact, cross-checked in the tests. Each is the other's fallback.
+matrix is totally unimodular, so any exact assignment solver reaches the
+optimum of the min-cost flow the paper solves with LEMON.
+:func:`solve_iterate` runs scipy's dense ``linear_sum_assignment`` on the
+full N × M cost matrix, every site a candidate; ``tests.oracles.hungarian``
+cross-checks it.
 
 The whole iterate is vectorized (see ``docs/PERFORMANCE.md``): neighbour
 lists live in padded ``(N, K)`` index/weight matrices built once in
 ``__init__`` and reused across all iterates, the cascade penalty is a
-scatter-add over precomputed partner index arrays, the true objective is a
-gather/einsum over a canonical DSP–DSP pair list, and per-row candidate
-windows are cached keyed on the cost-row hash so unchanged rows never
-re-run ``argpartition``.
+scatter-add over precomputed partner index arrays, and the true objective
+is a gather/einsum over a canonical DSP–DSP pair list.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,18 +52,14 @@ from repro.obs import metrics, trace
 from repro.placers.placement import Placement
 from repro.robustness.faults import maybe_fault
 from repro.robustness.guard import SolverGuard
-from repro.solvers.mcf import min_cost_assignment
 
-#: deterministic fallback order: the configured engine first, then the
-#: other one (mcf → lsa, lsa → mcf)
-ENGINE_FALLBACK_ORDER = ("lsa", "mcf")
-
-
-def engine_chain(primary: str) -> list[str]:
-    """The deterministic engine fallback chain starting at ``primary``."""
-    if primary not in ENGINE_FALLBACK_ORDER:
-        raise ConfigurationError(f"unknown assignment engine {primary!r}")
-    return [primary] + [e for e in ENGINE_FALLBACK_ORDER if e != primary]
+#: µm² → cost units of the wirelength term (100 µm ≡ 1)
+WL_SCALE = 1e-4
+#: stop when the true eq. (7) objective has not improved for this many
+#: consecutive linearization iterates
+PATIENCE = 3
+#: netlist neighbours kept per DSP: the top-weighted ones
+MAX_NEIGHBORS = 32
 
 
 @dataclass(frozen=True)
@@ -73,49 +69,51 @@ class AssignmentConfig:
     ``lam`` is the paper's λ (set to 100 in Section V-C); ``eta`` the
     cascade penalty η; ``max_iterations`` the internal MCF iteration count
     (the paper uses 50; the loop stops early once the assignment is stable).
+    Building one checks every knob, and :class:`~repro.core.DSPlacerConfig`
+    builds one to check its own.
     """
 
     lam: float = 100.0
     eta: float = 25.0
-    wl_scale: float = 1e-4  # µm² → cost units (100 µm ≡ 1)
-    candidate_k: int = 48
     max_iterations: int = 50
-    #: stop when the true eq. (7) objective has not improved for this many
-    #: consecutive linearization iterates
-    patience: int = 3
-    max_neighbors: int = 32
-    #: per-iterate assignment solver: "mcf" (sparse min-cost assignment
-    #: over candidate windows — the paper's formulation) or "lsa" (scipy's
-    #: dense Hungarian)
-    engine: str = "mcf"
     #: extension beyond the paper: penalize sites whose clock arrival (from
     #: the skew model passed to the assigner) strays from the weighted mean
     #: arrival of the DSP's netlist neighbours — keeps tightly coupled
     #: logic under nearby clock taps. 0 = off; needs a skew model exposing
     #: per-point arrivals (HTreeSkew) to have any effect.
     skew_weight: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINE_FALLBACK_ORDER:
-            raise ConfigurationError(f"unknown assignment engine {self.engine!r}")
-        if not np.isfinite(self.skew_weight) or self.skew_weight < 0.0:
+        for knob in ("lam", "eta"):
+            value = getattr(self, knob)
+            if not _finite(value):
+                raise ConfigurationError(f"{knob} must be finite, got {value!r}")
+        if not _finite(self.skew_weight) or self.skew_weight < 0.0:
             raise ConfigurationError(
                 f"skew_weight must be finite and non-negative, got {self.skew_weight!r}"
             )
-        if self.max_iterations < 1:
+        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
             raise ConfigurationError(
-                f"max_iterations must be >= 1, got {self.max_iterations} "
+                f"max_iterations must be an integer >= 1, got {self.max_iterations!r} "
                 "(the loop needs at least one linearization iterate)"
             )
-        if self.patience < 1:
-            raise ConfigurationError(f"patience must be >= 1, got {self.patience}")
-        if self.candidate_k < 1:
-            raise ConfigurationError(f"candidate_k must be >= 1, got {self.candidate_k}")
-        if self.max_neighbors < 1:
-            raise ConfigurationError(
-                f"max_neighbors must be >= 1, got {self.max_neighbors}"
-            )
+
+
+def _finite(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def solve_iterate(cost: np.ndarray) -> np.ndarray:
+    """One linearized iterate: the site of each DSP row at least total cost.
+
+    An exact dense solve over all M sites. The fault stage ``assignment``
+    is checked first; a fault raises like any stage failure, and the flow
+    rolls back.
+    """
+    maybe_fault("assignment")
+    metrics.inc("assignment.solves.lsa")
+    _, cols = scipy.optimize.linear_sum_assignment(cost)
+    return np.asarray(cols, dtype=np.int64)
 
 
 class DatapathDSPAssigner:
@@ -162,10 +160,8 @@ class DatapathDSPAssigner:
         for i in self.dsps:
             idx = w.indices[ptr[i] : ptr[i + 1]].copy()
             val = w.data[ptr[i] : ptr[i + 1]].copy()
-            if idx.size > self.config.max_neighbors:
-                top = np.argpartition(val, -self.config.max_neighbors)[
-                    -self.config.max_neighbors :
-                ]
+            if idx.size > MAX_NEIGHBORS:
+                top = np.argpartition(val, -MAX_NEIGHBORS)[-MAX_NEIGHBORS:]
                 idx, val = idx[top], val[top]
             self._base_neighbors.append((idx, val))
         self._neighbors = list(self._base_neighbors)
@@ -205,8 +201,6 @@ class DatapathDSPAssigner:
         self._pair_kp = np.array([p[0] for p in self._pairs], dtype=np.int64)
         self._pair_ks = np.array([p[1] for p in self._pairs], dtype=np.int64)
         self._rebuild_neighbor_arrays()
-        #: per-row candidate-window cache: row -> (k, cost-row hash, window)
-        self._cand_cache: dict[int, tuple[int, int, np.ndarray]] = {}
 
     def _rebuild_neighbor_arrays(self) -> None:
         """Derive the vectorized views of ``self._neighbors``.
@@ -296,7 +290,7 @@ class DatapathDSPAssigner:
         w_sum = w.sum(axis=1)
         mvec = np.einsum("nk,nkd->nd", w, pts)
         q = np.einsum("nk,nkd->n", w, pts**2)
-        cost = cfg.wl_scale * (
+        cost = WL_SCALE * (
             w_sum[:, None] * self._site_sq[None, :]
             - 2.0 * (mvec @ self.site_xy.T)
             + q[:, None]
@@ -325,101 +319,6 @@ class DatapathDSPAssigner:
             np.subtract.at(cost, (rows[ok], target[ok]), cfg.eta)
         return cost
 
-    def _solve_engine(
-        self, engine: str, cost: np.ndarray, prev_sites: np.ndarray | None
-    ) -> np.ndarray:
-        """One per-iterate assignment solve on a single named engine."""
-        cfg = self.config
-        n, m = cost.shape
-        maybe_fault(f"assignment.{engine}")
-        metrics.inc(f"assignment.solves.{engine}")
-        if engine == "lsa":
-            _, cols = scipy.optimize.linear_sum_assignment(cost)
-            return np.asarray(cols, dtype=np.int64)
-        # MCF over K-nearest candidate arcs (+ previous site for feasibility)
-        k = min(cfg.candidate_k, m)
-        while True:
-            arcs = self._candidate_arcs(cost, k, prev_sites)
-            try:
-                assignment = min_cost_assignment(n, m, arcs)
-                break
-            except SolverInfeasibleError:
-                if k >= m:
-                    raise
-                k = min(m, k * 2)  # widen the candidate windows and retry
-        out = np.empty(n, dtype=np.int64)
-        for i, j in assignment.items():
-            out[i] = j
-        return out
-
-    def _candidate_arcs(
-        self, cost: np.ndarray, k: int, prev_sites: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """K-nearest candidate arc arrays, with per-row window caching.
-
-        Windows are keyed on ``(k, hash(row bytes))``: a cost row that is
-        bit-identical to the previous solve (e.g. a DSP whose neighbourhood
-        and cascade pulls did not move between iterates) reuses its cached
-        ``argpartition`` result instead of re-ranking all M sites. Any stale
-        rows are re-partitioned together in one batched call.
-        """
-        n, m = cost.shape
-        digests = [hash(cost[i].tobytes()) for i in range(n)]
-        cand = np.empty((n, k), dtype=np.int64)
-        stale = []
-        for i in range(n):
-            hit = self._cand_cache.get(i)
-            if hit is not None and hit[0] == k and hit[1] == digests[i]:
-                cand[i] = hit[2]
-            else:
-                stale.append(i)
-        metrics.inc("assignment.cand_cache.hits", n - len(stale))
-        metrics.inc("assignment.cand_cache.misses", len(stale))
-        if stale:
-            rows = np.asarray(stale, dtype=np.int64)
-            fresh = np.argpartition(cost[rows], k - 1, axis=1)[:, :k]
-            cand[rows] = fresh
-            for i, window in zip(stale, fresh):
-                self._cand_cache[i] = (k, digests[i], window.copy())
-        agents = np.repeat(np.arange(n, dtype=np.int64), k)
-        slots = cand.reshape(-1)
-        if prev_sites is not None:
-            prev_rows = np.flatnonzero(prev_sites >= 0)
-            agents = np.concatenate([agents, prev_rows])
-            slots = np.concatenate([slots, prev_sites[prev_rows]])
-        return agents, slots, cost[agents, slots]
-
-    def _solve_once(
-        self,
-        cost: np.ndarray,
-        prev_sites: np.ndarray | None,
-        guard: SolverGuard | None = None,
-    ) -> np.ndarray:
-        """One per-iterate solve with the deterministic engine fallback chain.
-
-        A failing engine degrades to the next engine in
-        :func:`engine_chain` instead of killing the run;
-        with a guard the fallback is recorded in its
-        :class:`~repro.robustness.RunHealth` and the stage budget is
-        enforced between attempts.
-        """
-        chain = engine_chain(self.config.engine)
-        attempts = [
-            (engine, lambda e=engine: self._solve_engine(e, cost, prev_sites))
-            for engine in chain
-        ]
-        if guard is not None:
-            _, sites = guard.run(attempts)
-            return sites
-        last: SolverError | None = None
-        for _, thunk in attempts:
-            try:
-                return thunk()
-            except SolverError as exc:
-                last = exc
-        assert last is not None
-        raise last
-
     # ------------------------------------------------------------------
     def objective(self, sites: np.ndarray, placement: Placement) -> float:
         """True eq. (7) objective of an assignment (not the linearization).
@@ -445,7 +344,7 @@ class DatapathDSPAssigner:
         if self._dd_a.size:
             d = dsp_xy[self._dd_a] - dsp_xy[self._dd_b]
             total += float(self._dd_w @ np.einsum("ij,ij->i", d, d))
-        total *= cfg.wl_scale
+        total *= WL_SCALE
         total += float(self._angle_coef @ self._site_cos[sites])
         if cfg.eta > 0 and self._pair_kp.size:
             sp_, ss_ = sites[self._pair_kp], sites[self._pair_ks]
@@ -462,11 +361,10 @@ class DatapathDSPAssigner:
         placement's coordinates are updated to the assigned sites (callers
         still must run cascade legalization — the η term is soft).
 
-        With a ``guard``, every per-iterate solve runs under its fallback
-        chain and the loop honours the stage's wall-clock budget: once the
-        budget is exhausted the best-so-far assignment is returned (or, if
-        there is none yet, :class:`~repro.errors.StageBudgetExceeded` is
-        raised).
+        With a ``guard``, the loop honours the stage's wall-clock budget:
+        once the budget is exhausted the best-so-far assignment is returned
+        (or, if there is none yet, :class:`~repro.errors.StageBudgetExceeded`
+        is raised). A failed solve raises.
         """
         cfg = self.config
         place = placement
@@ -478,18 +376,15 @@ class DatapathDSPAssigner:
         stale = 0
         for iters in range(1, cfg.max_iterations + 1):
             if guard is not None and guard.over_budget:
-                if best_sites is not None:
-                    guard.note_budget(
-                        f"budget exhausted after {iters - 1} linearization "
-                        "iterate(s); returning best-so-far assignment"
-                    )
-                    break
-                guard.check_budget()  # no iterate finished: raises
+                if best_sites is None:
+                    guard.check_budget()  # no iterate finished: raises
+                iters -= 1  # this iterate never ran
+                break
             with trace.span("assignment.iterate", i=iters) as it_sp:
                 with trace.span("assignment.cost_matrix"):
                     cost = self.cost_matrix(place, prev_sites)
-                with trace.span("assignment.solve", engine=cfg.engine):
-                    sites = self._solve_once(cost, prev_sites, guard)
+                with trace.span("assignment.solve"):
+                    sites = solve_iterate(cost)
                 with trace.span("assignment.objective"):
                     true_obj = self.objective(sites, placement)
                 it_sp.set(objective=true_obj)
@@ -505,12 +400,18 @@ class DatapathDSPAssigner:
             if (
                 (prev_sites is not None and np.array_equal(sites, prev_sites))
                 or key in seen
-                or stale >= cfg.patience
+                or stale >= PATIENCE
             ):
                 break  # converged, cycled, or stopped improving
             seen.add(key)
             prev_sites = sites
             place.xy[self.dsps] = self.site_xy[sites]
+        if guard is not None and guard.over_budget:
+            # the budget is cooperative: the solve that overran it finished
+            guard.note_budget(
+                f"{guard.budget_s:.3g}s budget exhausted after "
+                f"{guard.elapsed_s:.3g}s; returning the best-so-far assignment"
+            )
         if best_sites is None:
             # unreachable while AssignmentConfig enforces max_iterations >= 1
             # (the guard's budget path breaks out only with a best-so-far);

@@ -19,7 +19,6 @@ SECTIONS = {
     "fig9": ("Fig. 9 — Layout visualization", "Fig. 9"),
     "ablation_identification": ("Ablation A1 — control-DSP pruning", "§III-B"),
     "ablation_lambda": ("Ablation A2 — λ sweep", "§V-C"),
-    "ablation_candidates": ("Ablation A3 — MCF candidate window", "—"),
     "ablation_legalization": ("Ablation A4 — ILP vs greedy legalization", "eq. 10"),
     "ablation_alternation": ("Ablation A5 — alternation depth", "Fig. 6"),
     "ablation_timing_driven": ("Ablation A6 — timing-driven baseline", "§I"),

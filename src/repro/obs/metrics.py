@@ -4,9 +4,9 @@ Instrumented code records through the ambient module-level helpers::
 
     from repro.obs import metrics
 
-    metrics.inc("mcf.arcs", len(arcs))          # monotonic counter
-    metrics.gauge("router.wirelength_um", wl)   # last-value-wins
-    metrics.observe("assignment.objective", o)  # streaming histogram
+    metrics.inc("isotonic.blocks", len(blocks))  # monotonic counter
+    metrics.gauge("router.wirelength_um", wl)    # last-value-wins
+    metrics.observe("assignment.objective", o)   # streaming histogram
 
 All three are single-list-check no-ops when no
 :class:`~repro.obs.Observation` is active. Registries merge across stages

@@ -9,8 +9,7 @@ up-front and keyed on (stage, Nth call), so a chaos test replays bit-for-bit.
 
 Instrumented stage names:
 
-- ``assignment.mcf`` / ``assignment.lsa`` — one per-iterate assignment
-  solve on that engine;
+- ``assignment`` — one per-iterate assignment solve;
 - ``legalization.ilp`` / ``legalization.greedy`` — one inter-column attempt;
 - ``incremental`` — one other-component re-place (outer iteration);
 - ``prototype`` — the initial base-placer run.

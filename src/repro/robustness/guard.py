@@ -1,8 +1,9 @@
 """SolverGuard: wall-clock budgets + deterministic fallback chains.
 
-One guard is created per pipeline stage invocation (e.g. "assignment" for
-one outer iteration). :meth:`SolverGuard.run` tries a chain of named solver
-attempts in order, absorbing :class:`~repro.errors.SolverError` /
+One guard is created per pipeline stage invocation (e.g. "legalization"
+for one outer iteration). :meth:`SolverGuard.run` tries a chain of named
+solver attempts in order (the cascade legalizer's ILP, then greedy),
+absorbing :class:`~repro.errors.SolverError` /
 :class:`~repro.errors.LegalizationError` and recording every fallback into
 the shared :class:`~repro.robustness.health.RunHealth`. The budget is
 cooperative: it is checked between attempts and wherever the stage itself

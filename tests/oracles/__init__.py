@@ -31,11 +31,10 @@ from tests.oracles.placers import (
     refine_sites_reference,
 )
 from tests.oracles.router import ReferencePatternRouter, candidate_paths
-from tests.oracles.solvers import MinCostFlow, hungarian, min_cost_assignment_ssp
+from tests.oracles.solvers import hungarian
 from tests.oracles.timing import ReferenceSTA
 
 __all__ = [
-    "MinCostFlow",
     "ReferenceLegalizer",
     "ReferencePatternRouter",
     "ReferenceSTA",
@@ -48,7 +47,6 @@ __all__ = [
     "hungarian",
     "iddfs_dsp_paths_reference",
     "iddfs_single_source",
-    "min_cost_assignment_ssp",
     "netlist_problems_loop",
     "netlist_to_digraph",
     "netlist_to_graph",

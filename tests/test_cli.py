@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.obs import SCHEMA_VERSION, RunReport, validate_report
+from repro.placers.vivado_like import VivadoLikePlacer
 
 
 class TestParser:
@@ -120,15 +121,39 @@ class TestConfigFile:
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"turbo": True}))
-        rc = main(PLACE_SMALL + ["--config", str(cfg)])
-        assert rc == 2
-        assert "ConfigurationError" in capsys.readouterr().err
+        # "turbo" never existed; the rest are retired knobs, which must not
+        # be accepted and silently ignored
+        for key, value in [
+            ("turbo", True),
+            ("assignment_engine", "lsa"),
+            ("candidate_k", 48),
+            ("iddfs_max_depth", 6),
+        ]:
+            cfg.write_text(json.dumps({key: value}))
+            rc = main(PLACE_SMALL + ["--config", str(cfg)])
+            assert rc == 2, key
+            err = capsys.readouterr().err
+            assert "ConfigurationError: unknown DSPlacer config key" in err, key
+            assert repr(key) in err, key
+
+    def test_non_finite_knob_exits_2_before_placing(self, tmp_path, capsys, monkeypatch):
+        """``json`` reads NaN and Infinity; the config refuses them before
+        the prototype placement runs."""
+
+        def _unreachable(*args, **kwargs):
+            raise AssertionError("the prototype ran on a bad config")
+
+        monkeypatch.setattr(VivadoLikePlacer, "place", _unreachable)
+        cfg = tmp_path / "cfg.json"
+        for key, value in [("lam", float("nan")), ("eta", float("inf"))]:
+            cfg.write_text(json.dumps({key: value}))
+            rc = main(PLACE_SMALL + ["--config", str(cfg)])
+            assert rc == 2, key
+            assert f"ConfigurationError: {key} must be finite" in capsys.readouterr().err
 
     def test_unknown_assignment_engine_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         for knob, value in [
-            ("assignment_engine", "auction"),
             ("identification", "banana"),
             ("base_placer", "banana"),
             ("skew_model", "banana"),

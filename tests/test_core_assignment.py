@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+import repro.core.placement.assignment as assignment_mod
 from repro.core.extraction import build_dsp_graph, prune_control_dsps
 from repro.core.placement import AssignmentConfig, DatapathDSPAssigner
+from repro.core.placement.assignment import solve_iterate
 from repro.netlist import CellType, Netlist
 from repro.placers import Placement
+from tests.oracles import hungarian
 
 
 def _two_dsp_netlist():
@@ -62,30 +65,26 @@ class TestAssignerBasics:
             DatapathDSPAssigner(nl, small_dev, graph, dsps)
 
     def test_all_engines_agree(self, assigner_setup):
-        """MCF and the dense Hungarian solve the same assignment optimally."""
+        """The assigner's dense solve and the Hungarian oracle reach the
+        same optimal assignment cost."""
         nl, dev, graph, dsps = assigner_setup
-        place = Placement(nl, dev)
-        engines = {
-            "mcf": AssignmentConfig(engine="mcf", max_iterations=1, candidate_k=dev.n_dsp),
-            "lsa": AssignmentConfig(engine="lsa", max_iterations=1),
-        }
-        costs = {}
-        for name, cfg in engines.items():
-            a = DatapathDSPAssigner(nl, dev, graph, dsps, cfg)
-            cost = a.cost_matrix(place, None)
-            sites = a._solve_once(cost, None)
-            costs[name] = float(cost[np.arange(len(dsps)), sites].sum())
-        assert costs["mcf"] == pytest.approx(costs["lsa"], abs=1e-9)
+        a = DatapathDSPAssigner(nl, dev, graph, dsps, AssignmentConfig(max_iterations=1))
+        cost = a.cost_matrix(Placement(nl, dev), None)
+        sites = solve_iterate(cost)
+        _, optimum = hungarian(cost)
+        got = float(cost[np.arange(len(dsps)), sites].sum())
+        assert got == pytest.approx(optimum, abs=1e-9)
 
 
 class TestAngleTerm:
-    def test_datapath_angle_orders_chain(self, small_dev):
+    def test_datapath_angle_orders_chain(self, small_dev, monkeypatch):
         """With a dominant λ, the DSP-graph predecessor must land at a site
         with smaller cos θ (closer to vertical above the PS) than the
         successor (paper eq. 6)."""
+        monkeypatch.setattr(assignment_mod, "WL_SCALE", 1e-9)
         nl, d0, d1 = _two_dsp_netlist()
         graph = build_dsp_graph(nl)
-        cfg = AssignmentConfig(lam=1e6, eta=0.0, wl_scale=1e-9, max_iterations=3)
+        cfg = AssignmentConfig(lam=1e6, eta=0.0, max_iterations=3)
         a = DatapathDSPAssigner(nl, small_dev, graph, [d0, d1], cfg)
         result, _ = a.solve(Placement(nl, small_dev))
         xy = small_dev.site_xy("DSP")
@@ -105,10 +104,11 @@ class TestAngleTerm:
 
 
 class TestCascadeTerm:
-    def test_eta_pulls_pairs_together(self, small_dev):
+    def test_eta_pulls_pairs_together(self, small_dev, monkeypatch):
+        monkeypatch.setattr(assignment_mod, "WL_SCALE", 1e-9)
         nl, d0, d1 = _two_dsp_netlist()
         graph = build_dsp_graph(nl)
-        cfg = AssignmentConfig(lam=0.0, eta=1e5, wl_scale=1e-9, max_iterations=6)
+        cfg = AssignmentConfig(lam=0.0, eta=1e5, max_iterations=6)
         a = DatapathDSPAssigner(nl, small_dev, graph, [d0, d1], cfg)
         result, _ = a.solve(Placement(nl, small_dev))
         # successor should sit exactly one site above the predecessor

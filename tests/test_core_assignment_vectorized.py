@@ -1,11 +1,11 @@
-"""PR 3 assignment-loop tests: vectorization equivalence + correctness fixes.
+"""Assignment-loop tests: vectorization equivalence + correctness fixes.
 
 The vectorized ``cost_matrix``/``objective`` are checked against
 loop-reference implementations (the pre-vectorization code, kept here as
-the ground truth) to 1e-9 on seeded instances, the per-iterate MCF solve is
-checked to produce *identical assignments* before/after vectorization, and
-the `AssignmentConfig` validation plus the DSP–DSP half-counting fix get
-dedicated regressions.
+the ground truth) to 1e-9 on seeded instances, the per-iterate solve is
+checked to reach the Hungarian oracle's optimum, and to pick its identical
+assignment, on the same cost matrices, and the `AssignmentConfig`
+validation plus the DSP–DSP half-counting fix get dedicated regressions.
 """
 
 from __future__ import annotations
@@ -13,13 +13,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import obs
+import repro.core.placement.assignment as assignment_mod
 from repro.core.extraction import build_dsp_graph, iddfs_dsp_paths, prune_control_dsps
 from repro.core.placement import AssignmentConfig, DatapathDSPAssigner
+from repro.core.placement.assignment import solve_iterate
 from repro.errors import ConfigurationError
 from repro.netlist import CellType, Netlist
 from repro.placers import Placement
-from tests.oracles import min_cost_assignment_ssp
+from tests.oracles import hungarian
 
 
 # ----------------------------------------------------------------------
@@ -41,7 +42,7 @@ def cost_matrix_ref(a: DatapathDSPAssigner, placement, prev_sites):
             wl = w_sum * a._site_sq - 2.0 * (a.site_xy @ mvec) + q
         else:
             wl = np.zeros(m)
-        cost[k] = cfg.wl_scale * wl
+        cost[k] = assignment_mod.WL_SCALE * wl
     cost += a._angle_coef[:, None] * a._site_cos[None, :]
     if prev_sites is not None and cfg.eta > 0:
         for k in range(n):
@@ -81,7 +82,7 @@ def objective_ref(a: DatapathDSPAssigner, sites, placement):
     for (ka, kb), (acc, cnt) in pair_acc.items():
         d = a.site_xy[sites[ka]] - a.site_xy[sites[kb]]
         total += (acc / cnt) * float(d @ d)
-    total *= cfg.wl_scale
+    total *= assignment_mod.WL_SCALE
     for k in range(len(a.dsps)):
         total += a._angle_coef[k] * a._site_cos[sites[k]]
     if cfg.eta > 0:
@@ -114,7 +115,7 @@ def objective_ref_halved(a: DatapathDSPAssigner, sites, placement):
             d = p0 - (new_xy[j] if j in in_dsps else pos[j])
             term = w * float(d @ d)
             total += term / 2.0 if j in in_dsps else term
-    total *= cfg.wl_scale
+    total *= assignment_mod.WL_SCALE
     for k in range(len(a.dsps)):
         total += a._angle_coef[k] * a._site_cos[sites[k]]
     if cfg.eta > 0:
@@ -173,19 +174,16 @@ class TestVectorizedEquivalence:
             ref = objective_ref(assigner, sites, place)
             assert got == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
-    def test_objective_matches_old_halving_when_symmetric(self, mini_accel, small_dev):
+    def test_objective_matches_old_halving_when_symmetric(
+        self, mini_accel, small_dev, monkeypatch
+    ):
         """Without truncation every DSP–DSP edge is present on both sides,
         where the canonical accounting equals the old halved one."""
+        monkeypatch.setattr(assignment_mod, "MAX_NEIGHBORS", 10_000)  # no truncation
         paths = iddfs_dsp_paths(mini_accel)
         graph = build_dsp_graph(mini_accel, paths)
         dsps = [d for d in graph.nodes.tolist() if mini_accel.cells[d].is_datapath]
-        a = DatapathDSPAssigner(
-            mini_accel,
-            small_dev,
-            graph,
-            dsps,
-            AssignmentConfig(max_neighbors=10_000),  # no truncation
-        )
+        a = DatapathDSPAssigner(mini_accel, small_dev, graph, dsps)
         m = a.site_xy.shape[0]
         rng = np.random.default_rng(7)
         place = Placement(mini_accel, small_dev)
@@ -222,70 +220,33 @@ class TestVectorizedEquivalence:
         )
 
     def test_identical_assignments_before_after(self, assigner, mini_accel, small_dev):
-        """The vectorized candidate/arc path must pick the same assignment
-        as the pre-PR tuple-loop + successive-shortest-paths path.
+        """Each per-iterate solve is exact: on the assigner's own cost
+        matrices, with and without previous sites, its total cost equals
+        the Hungarian oracle's optimum, and it picks the oracle's very
+        assignment.
 
-        A deterministic jitter makes every optimum unique so the check is
-        exact rather than cost-equal-only.
+        A deterministic jitter makes every optimum unique so the
+        assignment check is exact rather than cost-equal-only.
         """
-        cfg = assigner.config
         n = len(assigner.dsps)
-        m = assigner.site_xy.shape[0]
-        k = min(cfg.candidate_k, m)
+        rows = np.arange(n)
         for inst, (place, prev) in enumerate(
             _seeded_instances(assigner, mini_accel, small_dev)
         ):
             rng = np.random.default_rng(3000 + inst)
             for prev_sites in (None, prev):
                 cost = assigner.cost_matrix(place, prev_sites)
-                cost = cost + rng.uniform(0.0, 1e-6, size=cost.shape)
-                # pre-PR arc construction: per-row python loops, first-wins
-                # duplicates resolved by the (now min-cost) dedupe
-                arcs = []
-                for i in range(n):
-                    cand = np.argpartition(cost[i], k - 1)[:k]
-                    for j in cand:
-                        arcs.append((i, int(j), float(cost[i, j])))
-                    if prev_sites is not None and prev_sites[i] >= 0:
-                        arcs.append(
-                            (i, int(prev_sites[i]), float(cost[i, prev_sites[i]]))
-                        )
-                ref = min_cost_assignment_ssp(n, m, arcs)
-                assigner._cand_cache.clear()
-                got = assigner._solve_engine("mcf", cost, prev_sites)
-                assert {i: int(s) for i, s in enumerate(got)} == ref
-
-
-class TestCandidateCache:
-    def test_unchanged_rows_hit_cache(self, assigner, mini_accel, small_dev):
-        place, _ = next(_seeded_instances(assigner, mini_accel, small_dev))
-        cost = assigner.cost_matrix(place, None)
-        assigner._cand_cache.clear()
-        with obs.observe() as ob:
-            first = assigner._solve_engine("mcf", cost, None)
-            second = assigner._solve_engine("mcf", cost, None)
-        counters = ob.metrics.to_dict()["counters"]
-        n = len(assigner.dsps)
-        assert counters["assignment.cand_cache.misses"] == n
-        assert counters["assignment.cand_cache.hits"] == n
-        assert np.array_equal(first, second)
-
-    def test_changed_row_recomputed(self, assigner, mini_accel, small_dev):
-        place, _ = next(_seeded_instances(assigner, mini_accel, small_dev))
-        cost = assigner.cost_matrix(place, None)
-        assigner._cand_cache.clear()
-        assigner._solve_engine("mcf", cost, None)
-        bumped = cost.copy()
-        bumped[0] += 1.0
-        with obs.observe() as ob:
-            assigner._solve_engine("mcf", bumped, None)
-        counters = ob.metrics.to_dict()["counters"]
-        assert counters["assignment.cand_cache.misses"] == 1
-        assert counters["assignment.cand_cache.hits"] == len(assigner.dsps) - 1
+                sites = solve_iterate(cost)
+                assert np.unique(sites).size == n
+                _, optimum = hungarian(cost)
+                assert float(cost[rows, sites].sum()) == pytest.approx(optimum, abs=1e-9)
+                jittered = cost + rng.uniform(0.0, 1e-6, size=cost.shape)
+                ref, _ = hungarian(jittered)
+                assert np.array_equal(solve_iterate(jittered), np.asarray(ref))
 
 
 class TestHalfCountingFix:
-    def test_one_sided_truncated_edge_counts_fully(self, small_dev):
+    def test_one_sided_truncated_edge_counts_fully(self, small_dev, monkeypatch):
         """A DSP–DSP edge truncated off one side must contribute its full
         weight (pre-PR-3 it was halved as if both sides kept it)."""
         nl = Netlist("trunc")
@@ -302,9 +263,9 @@ class TestHalfCountingFix:
             nl.add_net(f"dl{i}", d0, [lut])
         nl.add_net("dd", d0, [d1])
         graph = build_dsp_graph(nl)
-        cfg = AssignmentConfig(
-            lam=0.0, eta=0.0, wl_scale=1.0, max_neighbors=1, max_iterations=2
-        )
+        monkeypatch.setattr(assignment_mod, "WL_SCALE", 1.0)
+        monkeypatch.setattr(assignment_mod, "MAX_NEIGHBORS", 1)
+        cfg = AssignmentConfig(lam=0.0, eta=0.0, max_iterations=2)
         a = DatapathDSPAssigner(nl, small_dev, graph, [d0, d1], cfg)
         # the d0–d1 edge must live on exactly one side of the neighbour lists
         sides = sum(
@@ -331,14 +292,15 @@ class TestConfigValidation:
             AssignmentConfig(max_iterations=bad)
 
     def test_other_knobs_rejected(self):
-        with pytest.raises(ConfigurationError, match="assignment engine"):
-            AssignmentConfig(engine="auction")
-        with pytest.raises(ConfigurationError, match="patience"):
-            AssignmentConfig(patience=0)
-        with pytest.raises(ConfigurationError, match="candidate_k"):
-            AssignmentConfig(candidate_k=0)
-        with pytest.raises(ConfigurationError, match="max_neighbors"):
-            AssignmentConfig(max_neighbors=0)
+        for bad in (float("nan"), float("inf"), -float("inf"), "100"):
+            with pytest.raises(ConfigurationError, match="lam must be finite"):
+                AssignmentConfig(lam=bad)
+            with pytest.raises(ConfigurationError, match="eta must be finite"):
+                AssignmentConfig(eta=bad)
+            with pytest.raises(ConfigurationError, match="skew_weight"):
+                AssignmentConfig(skew_weight=bad)
+        with pytest.raises(ConfigurationError, match="skew_weight"):
+            AssignmentConfig(skew_weight=-0.5)
 
     def test_valid_config_still_solves(self, assigner, mini_accel, small_dev):
         place = Placement(mini_accel, small_dev)

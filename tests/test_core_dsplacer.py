@@ -98,23 +98,53 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "knob, value",
         [
-            pytest.param("assignment_engine", "banana", id="banana"),
-            pytest.param("assignment_engine", "auction", id="auction"),
             pytest.param("identification", "banana", id="identification-banana"),
             pytest.param("base_placer", "banana", id="base_placer-banana"),
             pytest.param("skew_model", "banana", id="skew_model-banana"),
         ],
     )
     def test_unknown_assignment_engine_rejected(self, knob, value):
-        """A misspelled or retired engine, identifier, base placer or skew
-        model fails when the config is built — directly, from a dict, or as
-        a serve request — not inside ``place()`` or a serve worker."""
+        """A misspelled identifier, base placer or skew model fails when the
+        config is built — directly, from a dict, or as a serve request — not
+        inside ``place()`` or a serve worker."""
         with pytest.raises(ConfigurationError, match=knob):
             DSPlacerConfig(**{knob: value})
         with pytest.raises(ConfigurationError, match=knob):
             DSPlacerConfig.from_dict({knob: value})
         request = PlacementRequest(suite="ismartdnn", config={knob: value})
         with pytest.raises(ConfigurationError, match=knob):
+            request.resolved_config()
+
+    @pytest.mark.parametrize(
+        "knob, value, message",
+        [
+            pytest.param("lam", float("nan"), "lam must be finite", id="lam-nan"),
+            pytest.param("lam", float("inf"), "lam must be finite", id="lam-inf"),
+            pytest.param("eta", float("nan"), "eta must be finite", id="eta-nan"),
+            pytest.param("eta", -float("inf"), "eta must be finite", id="eta-minus-inf"),
+            pytest.param("skew_weight", -1.0, "skew_weight", id="skew_weight-negative"),
+            pytest.param("skew_weight", float("nan"), "skew_weight", id="skew_weight-nan"),
+            pytest.param(
+                "mcf_iterations", 0, "max_iterations must be an integer >= 1",
+                id="mcf_iterations-0",
+            ),
+            pytest.param(
+                "mcf_iterations", 2.5, "max_iterations must be an integer",
+                id="mcf_iterations-float",
+            ),
+        ],
+    )
+    def test_bad_numeric_knob_rejected(self, knob, value, message):
+        """A non-finite λ or η, a negative or non-finite skew weight and a
+        linearization iterate count that is not an integer >= 1 fail when
+        the config is built, the same three ways as above, before any
+        placement runs."""
+        with pytest.raises(ConfigurationError, match=message):
+            DSPlacerConfig(**{knob: value})
+        with pytest.raises(ConfigurationError, match=message):
+            DSPlacerConfig.from_dict({knob: value})
+        request = PlacementRequest(suite="ismartdnn", config={knob: value})
+        with pytest.raises(ConfigurationError, match=message):
             request.resolved_config()
 
     def test_bad_base_placer(self):

@@ -13,6 +13,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import repro.accelgen.generator as generator_mod
 import repro.core.extraction.dsp_graph as dsp_graph_mod
@@ -22,7 +23,6 @@ import repro.netlist.csr as csr_mod
 import repro.netlist.validate as validate_mod
 import repro.placers.analytical as analytical_mod
 import repro.placers.detailed as detailed_mod
-import repro.solvers.mcf as mcf_mod
 from repro.accelgen import AcceleratorConfig, generate_accelerator
 from repro.core.extraction import (
     build_dsp_graph,
@@ -30,9 +30,9 @@ from repro.core.extraction import (
     iddfs_dsp_paths,
     prune_control_dsps,
 )
+from repro.core.placement.assignment import solve_iterate
 from repro.placers import Legalizer, Placement, QuadraticGlobalPlacer, refine_sites
 from repro.router.pattern_router import PatternRouter
-from repro.solvers import min_cost_assignment
 from repro.timing import StaticTimingAnalyzer
 from tests.oracles import (
     ReferenceLegalizer,
@@ -45,7 +45,6 @@ from tests.oracles import (
     generate_accelerator_reference,
     hungarian,
     iddfs_dsp_paths_reference,
-    min_cost_assignment_ssp,
     netlist_problems_loop,
     prune_control_dsps_reference,
     refine_sites_reference,
@@ -62,7 +61,6 @@ def _spread_args(p: Placement):
     return pos, rng.uniform(1.0, 4.0, 40), p.device
 
 
-_ARCS = [(0, 0, 3.0), (0, 1, 1.0), (1, 0, 1.0), (1, 2, 5.0), (2, 1, 2.0), (2, 2, 4.0)]
 _COST = np.array([[3.0, 1.0, 9.0], [1.0, 9.0, 5.0], [9.0, 2.0, 4.0]])
 _ACCEL = AcceleratorConfig("oracle", 24, 4, 2, 300, 20, 300, 12, 150.0)
 
@@ -149,15 +147,9 @@ CASES = [
         lambda p: generate_accelerator_reference(_ACCEL),
     ),
     OracleCase(
-        "ssp",
-        [(mcf_mod, "_assignment_lapjvsp")],
-        lambda p: min_cost_assignment(3, 3, _ARCS),
-        lambda p: min_cost_assignment_ssp(3, 3, _ARCS),
-    ),
-    OracleCase(
         "hungarian",
-        [(mcf_mod, "_assignment_lapjvsp")],
-        lambda p: min_cost_assignment(3, 3, _ARCS),
+        [(scipy.optimize, "linear_sum_assignment")],
+        lambda p: solve_iterate(_COST),
         lambda p: hungarian(_COST),
     ),
 ]

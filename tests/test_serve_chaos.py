@@ -72,9 +72,10 @@ class TestWorkerCrash:
 
 class TestInjectedFaults:
     def test_solver_fault_degrades_but_serves(self, server, small_dev, mini_accel):
-        """A solver fault inside the worker engages the in-flow fallback:
-        the job still succeeds and the health section shows the damage."""
-        req = chaos_request(FaultInjector().fail_on("assignment.mcf", call=EVERY_CALL))
+        """A solver fault inside the worker engages the in-flow fallback
+        (inter-column ILP → greedy): the job still succeeds and the health
+        section shows the damage."""
+        req = chaos_request(FaultInjector().fail_on("legalization.ilp", call=EVERY_CALL))
         resp = server.submit(req, netlist=mini_accel, device=small_dev).result(timeout=120)
         resp.raise_for_status()
         assert resp.quality["legal"]
@@ -83,9 +84,7 @@ class TestInjectedFaults:
         assert any(e["kind"] == "failure" for e in events)
 
     def test_all_engines_down_rolls_back_but_serves(self, server, small_dev, mini_accel):
-        fi = FaultInjector()
-        for engine in ("mcf", "lsa"):
-            fi.fail_on(f"assignment.{engine}", call=EVERY_CALL)
+        fi = FaultInjector().fail_on("assignment", call=EVERY_CALL)
         resp = server.submit(
             chaos_request(fi), netlist=mini_accel, device=small_dev
         ).result(timeout=120)
@@ -98,9 +97,7 @@ class TestInjectedFaults:
     def test_strict_worker_fault_is_a_typed_failure(self, server, small_dev, mini_accel):
         from repro.errors import SolverError
 
-        fi = FaultInjector()
-        for engine in ("mcf", "lsa"):
-            fi.fail_on(f"assignment.{engine}", call=EVERY_CALL)
+        fi = FaultInjector().fail_on("assignment", call=EVERY_CALL)
         req = chaos_request(fi, config={"outer_iterations": 1, "strict": True})
         resp = server.submit(req, netlist=mini_accel, device=small_dev).result(timeout=120)
         assert resp.status == "failed"

@@ -28,10 +28,8 @@ from repro.fpga import fabric_device
 CASES = [
     # (suite, scale, fabric, DSPlacerConfig overrides, committed counters)
     pytest.param("skynet", 0.05, "zcu104", {}, {
-        "assignment.cand_cache.hits": 17,
-        "assignment.cand_cache.misses": 103,
         "assignment.iterates": 8,
-        "assignment.solves.mcf": 8,
+        "assignment.solves.lsa": 8,
         "extraction.iddfs.paths": 15,
         "global_place.cg_iterations": 841,
         "global_place.solves": 3,
@@ -45,15 +43,11 @@ CASES = [
         "legalization.ilp_used": 2,
         "legalize.clb_conflict_cells": 708,
         "legalize.passes": 3,
-        "mcf.arcs": 5760,
-        "mcf.lapjvsp_solves": 8,
         "refine.accepted_moves": 22,
     }, id="skynet@0.05-zcu104"),
     pytest.param("skynet", 0.05, "slot_fabric", {"skew_model": "htree", "skew_weight": 5.0}, {
-        "assignment.cand_cache.hits": 40,
-        "assignment.cand_cache.misses": 110,
         "assignment.iterates": 10,
-        "assignment.solves.mcf": 10,
+        "assignment.solves.lsa": 10,
         "extraction.iddfs.paths": 15,
         "global_place.cg_iterations": 844,
         "global_place.solves": 3,
@@ -67,8 +61,6 @@ CASES = [
         "legalization.ilp_used": 2,
         "legalize.clb_conflict_cells": 2275,
         "legalize.passes": 3,
-        "mcf.arcs": 7200,
-        "mcf.lapjvsp_solves": 10,
         "refine.accepted_moves": 29,
     }, id="skynet@0.05-slot_fabric-htree"),
     pytest.param("skrskr2", 0.25, "zcu104", {}, {
