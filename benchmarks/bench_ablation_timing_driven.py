@@ -1,7 +1,7 @@
 """Ablation A6 — is DSPlacer's gain just missing timing-driven placement?
 
 The baseline flow is wirelength-driven (plus static net weights). This
-ablation turns on Vivado-style criticality reweighting rounds in the
+ablation turns on a Vivado-style criticality reweighting round in the
 baseline and checks whether generic timing-driven placement closes the gap
 to DSPlacer's datapath-specific optimization (the paper's claim is that it
 does not — regularity/datapath information is the missing ingredient, cf.
@@ -63,11 +63,11 @@ def test_ablation_timing_driven(benchmark, settings, emit):
         render_table(
             ["flow", "f_max (MHz)", "HPWL (um)"],
             [[k, f"{f:.0f}", f"{p.hpwl():.4g}"] for k, (p, f) in results.items()],
-            title="Ablation A6: generic timing-driven rounds vs datapath-driven DSP placement.",
+            title="Ablation A6: a generic timing-driven round vs datapath-driven DSP placement.",
         ),
     )
     f = {k: v[1] for k, v in results.items()}
-    # datapath-specific optimization is not subsumed by generic TD rounds
+    # datapath-specific optimization is not subsumed by a generic TD round
     assert f["dsplacer"] >= max(f["vivado (WL)"], f["vivado (TD)"]) * 0.98
     # slack-weighted assignment never collapses the plain DSPlacer result
     assert f["dsplacer (TD)"] >= f["dsplacer"] * 0.95

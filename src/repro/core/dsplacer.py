@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
@@ -84,7 +86,7 @@ class DSPlacerConfig:
         mcf_iterations: Internal MCF linearization iterations (paper: 50;
             the loop stops early on convergence).
         outer_iterations: Fig. 6 alternations between DSP placement and
-            other-component placement.
+            other-component placement (an integer >= 1).
     """
 
     identification: str = "heuristic"
@@ -113,9 +115,10 @@ class DSPlacerConfig:
     #: raise their typed :class:`~repro.errors.ReproError` instead of
     #: degrading gracefully to the last-good placement.
     strict: bool = False
-    #: wall-clock budget (seconds) for each assignment / legalization stage
-    #: invocation; ``None`` disables budgets. Cooperative: checked between
-    #: solver attempts and linearization iterates, never preemptive.
+    #: wall-clock budget (seconds, finite and > 0) for each assignment /
+    #: legalization stage invocation; ``None`` disables budgets. Cooperative:
+    #: checked between solver attempts and linearization iterates, never
+    #: preemptive.
     stage_budget_s: float | None = None
 
     def __post_init__(self) -> None:
@@ -130,6 +133,18 @@ class DSPlacerConfig:
                     f"unknown {knob} {value!r}; choose from " + ", ".join(choices)
                 )
         self.assignment_config()  # checks lam, eta, mcf_iterations, skew_weight
+        if not isinstance(self.outer_iterations, numbers.Integral) or self.outer_iterations < 1:
+            raise ConfigurationError(
+                f"outer_iterations must be an integer >= 1, got {self.outer_iterations!r} "
+                "(the flow needs at least one DSP-placement pass)"
+            )
+        budget = self.stage_budget_s
+        if budget is not None and not (
+            isinstance(budget, numbers.Real) and math.isfinite(budget) and budget > 0
+        ):
+            raise ConfigurationError(
+                f"stage_budget_s must be None or a finite number > 0, got {budget!r}"
+            )
 
     def assignment_config(self) -> AssignmentConfig:
         """The assignment stage's knobs; building them checks them."""

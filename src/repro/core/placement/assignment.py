@@ -60,6 +60,9 @@ WL_SCALE = 1e-4
 PATIENCE = 3
 #: netlist neighbours kept per DSP: the top-weighted ones
 MAX_NEIGHBORS = 32
+#: timing-driven extension: a neighbour's weight is scaled by
+#: ``1 + CRITICALITY_BOOST·crit`` (:meth:`DatapathDSPAssigner.set_criticality`)
+CRITICALITY_BOOST = 2.0
 
 
 @dataclass(frozen=True)
@@ -111,7 +114,6 @@ def solve_iterate(cost: np.ndarray) -> np.ndarray:
     rolls back.
     """
     maybe_fault("assignment")
-    metrics.inc("assignment.solves.lsa")
     _, cols = scipy.optimize.linear_sum_assignment(cost)
     return np.asarray(cols, dtype=np.int64)
 
@@ -206,7 +208,7 @@ class DatapathDSPAssigner:
         """Derive the vectorized views of ``self._neighbors``.
 
         Called at construction and whenever the neighbour weights change
-        (:meth:`set_criticality` / :meth:`clear_criticality`):
+        (:meth:`set_criticality`):
 
         - ``_nbr_idx`` / ``_nbr_w``: the ragged neighbour lists padded into
           ``(N, K)`` matrices (pad weight 0 ⇒ padded entries contribute
@@ -250,13 +252,14 @@ class DatapathDSPAssigner:
         self._dd_w = np.array([pair_acc[k][0] / pair_acc[k][1] for k in keys])
 
     # ------------------------------------------------------------------
-    def set_criticality(self, cell_output_slack: np.ndarray, period_ns: float, boost: float = 2.0) -> None:
+    def set_criticality(self, cell_output_slack: np.ndarray, period_ns: float) -> None:
         """Timing-driven extension: upweight attraction to critical neighbours.
 
         ``cell_output_slack`` comes from
         :meth:`repro.timing.StaticTimingAnalyzer.analyze` with
-        ``with_slacks=True``; a neighbour with slack s gets its connection
-        weight scaled by ``1 + boost·clip(1 − s/period, 0, 1)``, so DSPs are
+        ``with_slacks=True``; a neighbour with slack s gets its base
+        connection weight scaled by
+        ``1 + CRITICALITY_BOOST·clip(1 − s/period, 0, 1)``, so DSPs are
         pulled harder toward the cells on failing paths.
         """
         scaled: list[tuple[np.ndarray, np.ndarray]] = []
@@ -264,12 +267,8 @@ class DatapathDSPAssigner:
             s = cell_output_slack[idx]
             crit = np.clip(1.0 - s / period_ns, 0.0, 1.0)
             crit = np.where(np.isnan(crit), 0.0, crit)
-            scaled.append((idx, val * (1.0 + boost * crit)))
+            scaled.append((idx, val * (1.0 + CRITICALITY_BOOST * crit)))
         self._neighbors = scaled
-        self._rebuild_neighbor_arrays()
-
-    def clear_criticality(self) -> None:
-        self._neighbors = list(self._base_neighbors)
         self._rebuild_neighbor_arrays()
 
     def cost_matrix(

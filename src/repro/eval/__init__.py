@@ -16,7 +16,6 @@ from repro.eval.experiments import (
     run_fig8,
     run_fig9,
 )
-from repro.eval.report import build_report, write_report
 from repro.eval.tables import render_table
 
 __all__ = [
@@ -27,6 +26,4 @@ __all__ = [
     "run_fig8",
     "run_fig9",
     "render_table",
-    "build_report",
-    "write_report",
 ]

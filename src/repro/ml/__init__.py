@@ -8,7 +8,7 @@ implemented here on numpy with hand-derived, gradient-checked backprop.
 
 from repro.ml.gcn import GCN, GCNConfig, normalized_adjacency
 from repro.ml.losses import weighted_cross_entropy
-from repro.ml.optim import Adam, SGD
+from repro.ml.optim import Adam
 from repro.ml.svm import LinearSVM
 from repro.ml.metrics import accuracy, confusion_matrix, f1_score
 from repro.ml.train import TrainResult, train_gcn, leave_one_out
@@ -19,7 +19,6 @@ __all__ = [
     "normalized_adjacency",
     "weighted_cross_entropy",
     "Adam",
-    "SGD",
     "LinearSVM",
     "accuracy",
     "confusion_matrix",

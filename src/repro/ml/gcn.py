@@ -160,10 +160,6 @@ class GCN:
         probs, _ = self.forward(x, a_hat, training=False)
         return probs.argmax(axis=1)
 
-    def predict_proba(self, x: np.ndarray, a_hat: sp.csr_matrix) -> np.ndarray:
-        probs, _ = self.forward(x, a_hat, training=False)
-        return probs
-
     def state_dict(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.params.items()}
 

@@ -1,29 +1,8 @@
-"""First-order optimizers over flat parameter dictionaries."""
+"""The first-order optimizer of GCN training, over flat parameter dictionaries."""
 
 from __future__ import annotations
 
 import numpy as np
-
-
-class SGD:
-    """Vanilla (optionally momentum) stochastic gradient descent."""
-
-    def __init__(self, lr: float = 0.01, momentum: float = 0.0) -> None:
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        self.lr = lr
-        self.momentum = momentum
-        self._vel: dict[str, np.ndarray] = {}
-
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        for key, g in grads.items():
-            if self.momentum:
-                v = self._vel.get(key)
-                v = self.momentum * v + g if v is not None else g.copy()
-                self._vel[key] = v
-                params[key] -= self.lr * v
-            else:
-                params[key] -= self.lr * g
 
 
 class Adam:

@@ -18,6 +18,12 @@ All engines (and DSPlacer, through its adapter) conform to the unified
 :class:`~repro.placers.api.Placer` protocol: bind the device at
 construction, then ``place(netlist)``. See
 :func:`~repro.placers.api.get_placer`.
+
+Besides its device, a baseline takes only a ``seed`` (and the Vivado-like
+one ``timing_driven``): its iteration and refinement counts are module
+constants, as are the spreading grid and CG stop of the shared engine
+(:mod:`repro.placers.analytical`). A run that needs another value patches
+the constant.
 """
 
 from repro.placers.api import PLACER_NAMES, DSPlacerAdapter, Placer, get_placer
@@ -25,7 +31,6 @@ from repro.placers.placement import Placement
 from repro.placers.analytical import GlobalPlaceConfig, QuadraticGlobalPlacer
 from repro.placers.legalizer import Legalizer
 from repro.placers.detailed import refine_sites
-from repro.placers.packing import apply_packing, pack_lut_ff_pairs
 from repro.placers.vivado_like import VivadoLikePlacer
 from repro.placers.amf_like import AMFLikePlacer
 
@@ -39,8 +44,6 @@ __all__ = [
     "QuadraticGlobalPlacer",
     "Legalizer",
     "refine_sites",
-    "apply_packing",
-    "pack_lut_ff_pairs",
     "VivadoLikePlacer",
     "AMFLikePlacer",
 ]

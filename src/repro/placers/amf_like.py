@@ -27,27 +27,22 @@ from repro.placers.detailed import refine_sites
 from repro.placers.legalizer import Legalizer
 from repro.placers.placement import Placement
 
+#: Global-placement iterations: more than the Vivado-like flow runs.
+N_ITERATIONS = 14
+#: Swap-refinement passes after legalization.
+REFINE_PASSES = 1
+#: VCU108 has ~1.5× the ZCU104's fabric in each dimension; AMF's density
+#: targets assume that larger part.
+FABRIC_SCALE = 1.5
+
 
 class AMFLikePlacer:
     """Mixed-size analytical flow without PS awareness."""
 
     name = "amf"
 
-    def __init__(
-        self,
-        seed: int = 0,
-        n_iterations: int = 14,
-        refine_passes: int = 1,
-        fabric_scale: float = 1.5,
-        *,
-        device: Device,
-    ) -> None:
+    def __init__(self, seed: int = 0, *, device: Device) -> None:
         self.seed = seed
-        self.n_iterations = n_iterations
-        self.refine_passes = refine_passes
-        # VCU108 has ~1.5× the ZCU104's fabric in each dimension; AMF's
-        # density targets assume that larger part
-        self.fabric_scale = fabric_scale
         self.device = device
 
     def place(
@@ -61,10 +56,10 @@ class AMFLikePlacer:
             # a temporary engine: its clique system is freed before legalization
             place = QuadraticGlobalPlacer(
                 GlobalPlaceConfig(
-                    n_iterations=self.n_iterations,
+                    n_iterations=N_ITERATIONS,
                     avoid_ps=False,  # VCU108 tuning: no PS keep-out
                     use_net_weights=False,  # wirelength-only, criticality-blind
-                    fabric_scale=self.fabric_scale,
+                    fabric_scale=FABRIC_SCALE,
                     seed=self.seed,
                 )
             ).place(netlist, self.device, placement=placement, movable_mask=movable_mask)
@@ -77,5 +72,5 @@ class AMFLikePlacer:
                 centroid = place.xy[members].mean(axis=0)
                 place.xy[members] = centroid
             Legalizer(self.device).legalize(place, movable_mask=movable_mask)
-            refine_sites(place, passes=self.refine_passes, movable_mask=movable_mask, seed=self.seed)
+            refine_sites(place, passes=REFINE_PASSES, movable_mask=movable_mask, seed=self.seed)
             return place

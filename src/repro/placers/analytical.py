@@ -47,6 +47,13 @@ _AREA_OF = np.array([CELL_AREA.get(t.value, 1.0) for t in CELL_TYPE_CODES])
 SOLVE_EPS = 1e-9
 #: Pseudo-anchor weight α of the first re-solve, and its growth per re-solve.
 ANCHOR_WEIGHT, ANCHOR_GROWTH = 0.02, 1.8
+#: Spreading grid: uniform bins per axis, and vertical slabs for the y pass.
+N_BINS = 32
+N_SLABS = 4
+#: Each clique solve stops at ``‖b − A x‖ ≤ CG_RTOL·‖b‖`` on the full
+#: system, or after ``CG_MAXITER`` core CG iterations per axis.
+CG_RTOL = 1e-5
+CG_MAXITER = 500
 
 
 def jacobi_pcg(
@@ -324,13 +331,13 @@ class ChainElimination:
 
 @dataclass(frozen=True)
 class GlobalPlaceConfig:
-    """Knobs of the quadratic placement loop."""
+    """Knobs of the quadratic placement loop, each set by a real caller.
+
+    The spreading grid (:data:`N_BINS`, :data:`N_SLABS`) and the CG stop
+    (:data:`CG_RTOL`, :data:`CG_MAXITER`) are module constants.
+    """
 
     n_iterations: int = 6
-    n_bins: int = 32
-    n_slabs: int = 4
-    cg_rtol: float = 1e-5
-    cg_maxiter: int = 500
     avoid_ps: bool = True
     use_net_weights: bool = True
     #: The fabric extent the spreading *believes* in, relative to the real
@@ -405,9 +412,7 @@ class QuadraticGlobalPlacer:
 
         def _solve(alpha: float, target: np.ndarray | None) -> tuple[np.ndarray, int]:
             rhs = rhs_fixed if target is None else rhs_fixed + alpha * target
-            sol, iters, unconverged = elim.solve(
-                rhs, start, cfg.cg_rtol, cfg.cg_maxiter, shift=alpha
-            )
+            sol, iters, unconverged = elim.solve(rhs, start, CG_RTOL, CG_MAXITER, shift=alpha)
             metrics.inc("global_place.cg_iterations", iters)
             if unconverged:
                 metrics.inc("global_place.cg_unconverged", unconverged)
@@ -477,9 +482,9 @@ class QuadraticGlobalPlacer:
         w = device.width * cfg.fabric_scale
         h = device.height * cfg.fabric_scale
         out = pos.copy()
-        out[:, 0] = _equalize(out[:, 0], areas, 0.0, w, cfg.n_bins)
-        slab = _slab_of(out[:, 0], w, cfg.n_slabs)
-        out[:, 1] = _equalize(out[:, 1], areas, 0.0, h, cfg.n_bins, slab, cfg.n_slabs)
+        out[:, 0] = _equalize(out[:, 0], areas, 0.0, w, N_BINS)
+        slab = _slab_of(out[:, 0], w, N_SLABS)
+        out[:, 1] = _equalize(out[:, 1], areas, 0.0, h, N_BINS, slab, N_SLABS)
         out[:, 0] = np.clip(out[:, 0], 1.0, w - 1.0)
         out[:, 1] = np.clip(out[:, 1], 1.0, h - 1.0)
         ps = device.ps

@@ -20,62 +20,49 @@ from repro.placers.detailed import refine_sites
 from repro.placers.legalizer import Legalizer
 from repro.placers.placement import Placement
 
+#: Global-placement iterations of one pass.
+N_ITERATIONS = 6
+#: Swap-refinement passes after legalization.
+REFINE_PASSES = 2
+#: Criticality boost of the timing-driven round (:func:`td_criticality_weights`).
+TD_BOOST = 2.0
+
 
 def td_criticality_weights(
     slack: np.ndarray,
     net_driver: np.ndarray,
-    base_weights: np.ndarray,
-    current_weights: np.ndarray,
+    weights: np.ndarray,
     period: float,
     boost: float,
 ) -> np.ndarray:
     """Per-net timing-driven weights, one gather over the net→driver array.
 
     ``crit = clip(1 − slack/period, 0, 1)`` of each net's driver scales the
-    net's *base* (pre-reweighting) weight by ``1 + boost·crit``. Drivers
-    with NaN slack (cells outside the timed graph) keep the net's *current*
-    weight — matching the per-net loop this replaces, which skipped those
-    nets and thereby preserved whatever weight the previous round set.
+    net's weight by ``1 + boost·crit``. Nets whose driver has NaN slack
+    (a cell outside the timed graph) keep their weight.
     """
     s = slack[net_driver]
     crit = np.clip(1.0 - s / period, 0.0, 1.0)
-    boosted = base_weights * (1.0 + boost * crit)
-    return np.where(np.isnan(s), current_weights, boosted)
+    return np.where(np.isnan(s), weights, weights * (1.0 + boost * crit))
 
 
 class VivadoLikePlacer:
     """Wirelength-driven analytical flow (global → legalize → refine).
 
-    With ``timing_driven=True`` the flow adds Vivado-style net reweighting
-    rounds: STA computes every cell's output slack (backward required-time
-    pass), each net's weight is scaled by its driver's criticality, and the
-    design is re-placed. Off by default — the paper evaluates against
-    Vivado's stock placement at the break frequency, and Table II's shape
-    is defined against that baseline; the ablation bench measures what the
-    extra rounds buy.
+    With ``timing_driven=True`` the flow adds one Vivado-style net
+    reweighting round: STA computes every cell's output slack (backward
+    required-time pass), each net's weight is scaled by its driver's
+    criticality, and the design is re-placed. Off by default — the paper
+    evaluates against Vivado's stock placement at the break frequency, and
+    Table II's shape is defined against that baseline; ablation A6
+    measures what the extra round buys.
     """
 
     name = "vivado"
 
-    def __init__(
-        self,
-        seed: int = 0,
-        n_iterations: int = 6,
-        refine_passes: int = 2,
-        timing_driven: bool = False,
-        td_rounds: int = 1,
-        td_boost: float = 2.0,
-        pack_ble: bool = False,
-        *,
-        device: Device,
-    ) -> None:
+    def __init__(self, seed: int = 0, timing_driven: bool = False, *, device: Device) -> None:
         self.seed = seed
-        self.n_iterations = n_iterations
-        self.refine_passes = refine_passes
         self.timing_driven = timing_driven
-        self.td_rounds = td_rounds
-        self.td_boost = td_boost
-        self.pack_ble = pack_ble
         self.device = device
 
     def place(
@@ -91,44 +78,32 @@ class VivadoLikePlacer:
                 return place
             from repro.timing.sta import StaticTimingAnalyzer
 
-            sta = StaticTimingAnalyzer(netlist)
             period = 1e3 / netlist.target_freq_mhz if netlist.target_freq_mhz else 5.0
-            original = [net.weight for net in netlist.nets]
+            report = StaticTimingAnalyzer(netlist).analyze(
+                place, period_ns=period, with_slacks=True
+            )
+            nets = netlist.nets
+            original = [net.weight for net in nets]
+            new_w = td_criticality_weights(
+                np.asarray(report.cell_output_slack, dtype=np.float64),
+                get_csr(netlist).net_driver,
+                np.asarray(original, dtype=np.float64),
+                period,
+                TD_BOOST,
+            )
             try:
-                for _ in range(self.td_rounds):
-                    report = sta.analyze(place, period_ns=period, with_slacks=True)
-                    slack = report.cell_output_slack
-                    nets = netlist.nets
-                    current = np.fromiter(
-                        (net.weight for net in nets), dtype=np.float64, count=len(nets)
-                    )
-                    new_w = td_criticality_weights(
-                        np.asarray(slack, dtype=np.float64),
-                        get_csr(netlist).net_driver,
-                        np.asarray(original, dtype=np.float64),
-                        current,
-                        period,
-                        self.td_boost,
-                    )
-                    for net, w in zip(nets, new_w.tolist()):
-                        net.weight = w
-                    place = self._one_pass(netlist, place, movable_mask)
+                for net, w in zip(nets, new_w.tolist()):
+                    net.weight = w
+                return self._one_pass(netlist, place, movable_mask)
             finally:
-                for net, w0 in zip(netlist.nets, original):
+                for net, w0 in zip(nets, original):
                     net.weight = w0
-            return place
 
     def _one_pass(self, netlist, placement, movable_mask) -> Placement:
         # a temporary engine: its clique system is freed before legalization
         place = QuadraticGlobalPlacer(
-            GlobalPlaceConfig(n_iterations=self.n_iterations, avoid_ps=True, seed=self.seed)
+            GlobalPlaceConfig(n_iterations=N_ITERATIONS, avoid_ps=True, seed=self.seed)
         ).place(netlist, self.device, placement=placement, movable_mask=movable_mask)
-        if self.pack_ble:
-            from repro.placers.packing import apply_packing, pack_lut_ff_pairs
-
-            apply_packing(place, pack_lut_ff_pairs(netlist))
         Legalizer(self.device).legalize(place, movable_mask=movable_mask)
-        refine_sites(
-            place, passes=self.refine_passes, movable_mask=movable_mask, seed=self.seed
-        )
+        refine_sites(place, passes=REFINE_PASSES, movable_mask=movable_mask, seed=self.seed)
         return place

@@ -2,15 +2,14 @@
 
 Replaces Vivado's post-route timing reports: a graph-based STA over the
 placed-and-routed netlist producing the paper's Table II metrics — setup
-WNS (worst negative slack) and TNS (total negative slack) — plus critical
-paths and slack histograms.
+WNS (worst negative slack) and TNS (total negative slack) — plus
+critical-path reports.
 """
 
 from repro.timing.delay_model import DelayModel
 from repro.timing.reports import (
     PathEntry,
     format_timing_report,
-    slack_histogram,
     top_critical_paths,
 )
 from repro.timing.sta import StaticTimingAnalyzer, TimingReport, max_frequency
@@ -22,6 +21,5 @@ __all__ = [
     "max_frequency",
     "PathEntry",
     "format_timing_report",
-    "slack_histogram",
     "top_critical_paths",
 ]

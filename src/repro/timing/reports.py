@@ -1,8 +1,7 @@
-"""Timing report utilities: slack histograms and critical-path listings.
+"""Timing report utilities: critical-path listings.
 
 The analogue of a PnR tool's ``report_timing``: top-k worst paths with
-per-stage cell names, and slack distribution summaries used by the
-evaluation harness and the examples.
+per-stage cell names.
 """
 
 from __future__ import annotations
@@ -47,15 +46,6 @@ def top_critical_paths(
             )
         )
     return out
-
-
-def slack_histogram(report: TimingReport, n_bins: int = 10) -> list[tuple[float, float, int]]:
-    """(bin_lo, bin_hi, count) rows over the endpoint slack distribution."""
-    slack = report.endpoint_slack
-    counts, edges = np.histogram(slack, bins=n_bins)
-    return [
-        (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(len(counts))
-    ]
 
 
 def format_timing_report(

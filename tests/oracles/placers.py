@@ -7,6 +7,7 @@ import numpy as np
 
 from repro.fpga.device import Device
 from repro.netlist.cell import CellType
+from repro.placers import analytical
 from repro.placers.analytical import QuadraticGlobalPlacer, _slab_of
 from repro.placers.legalizer import Legalizer, _spiral
 from repro.placers.placement import Placement
@@ -186,19 +187,22 @@ def _push_out_of_ps(pos: np.ndarray, device: Device) -> np.ndarray:
 class ReferenceSpreadPlacer(QuadraticGlobalPlacer):
     """Same placer; each axis is equalized by ``np.histogram`` and
     ``np.interp``, the y axis slab by slab in a Python loop, and the PS
-    push runs on the inside cells' own copies."""
+    push runs on the inside cells' own copies. The grid is read from
+    ``analytical.N_BINS``/``N_SLABS`` at call time, so a test that patches
+    them moves the product and this oracle together."""
 
     def _spread(self, pos: np.ndarray, areas: np.ndarray, device: Device) -> np.ndarray:
         cfg = self.config
+        n_bins, n_slabs = analytical.N_BINS, analytical.N_SLABS
         w = device.width * cfg.fabric_scale
         h = device.height * cfg.fabric_scale
         out = pos.copy()
-        out[:, 0] = _equalize(out[:, 0], areas, 0.0, w, cfg.n_bins)
-        slab = _slab_of(out[:, 0], w, cfg.n_slabs)
-        for s in range(cfg.n_slabs):
+        out[:, 0] = _equalize(out[:, 0], areas, 0.0, w, n_bins)
+        slab = _slab_of(out[:, 0], w, n_slabs)
+        for s in range(n_slabs):
             sel = slab == s
             if sel.sum() > 2:
-                out[sel, 1] = _equalize(out[sel, 1], areas[sel], 0.0, h, cfg.n_bins)
+                out[sel, 1] = _equalize(out[sel, 1], areas[sel], 0.0, h, n_bins)
         out[:, 0] = np.clip(out[:, 0], 1.0, w - 1.0)
         out[:, 1] = np.clip(out[:, 1], 1.0, h - 1.0)
         if cfg.avoid_ps and device.ps is not None:

@@ -137,19 +137,24 @@ class TestConfigFile:
             assert repr(key) in err, key
 
     def test_non_finite_knob_exits_2_before_placing(self, tmp_path, capsys, monkeypatch):
-        """``json`` reads NaN and Infinity; the config refuses them before
-        the prototype placement runs."""
+        """``json`` reads NaN and Infinity; the config refuses them, and an
+        outer-iteration count below 1, before the prototype placement runs."""
 
         def _unreachable(*args, **kwargs):
             raise AssertionError("the prototype ran on a bad config")
 
         monkeypatch.setattr(VivadoLikePlacer, "place", _unreachable)
         cfg = tmp_path / "cfg.json"
-        for key, value in [("lam", float("nan")), ("eta", float("inf"))]:
+        for key, value, message in [
+            ("lam", float("nan"), "lam must be finite"),
+            ("eta", float("inf"), "eta must be finite"),
+            ("outer_iterations", 0, "outer_iterations must be an integer >= 1"),
+            ("stage_budget_s", float("nan"), "stage_budget_s must be None or a finite"),
+        ]:
             cfg.write_text(json.dumps({key: value}))
             rc = main(PLACE_SMALL + ["--config", str(cfg)])
             assert rc == 2, key
-            assert f"ConfigurationError: {key} must be finite" in capsys.readouterr().err
+            assert f"ConfigurationError: {message}" in capsys.readouterr().err
 
     def test_unknown_assignment_engine_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

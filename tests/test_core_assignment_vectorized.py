@@ -211,13 +211,6 @@ class TestVectorizedEquivalence:
             rtol=1e-9,
             atol=1e-9,
         )
-        a.clear_criticality()
-        np.testing.assert_allclose(
-            a.cost_matrix(place, None),
-            cost_matrix_ref(a, place, None),
-            rtol=1e-9,
-            atol=1e-9,
-        )
 
     def test_identical_assignments_before_after(self, assigner, mini_accel, small_dev):
         """Each per-iterate solve is exact: on the assigner's own cost

@@ -132,13 +132,42 @@ class TestConfigValidation:
                 "mcf_iterations", 2.5, "max_iterations must be an integer",
                 id="mcf_iterations-float",
             ),
+            pytest.param(
+                "outer_iterations", 2.5, "outer_iterations must be an integer",
+                id="outer_iterations-float",
+            ),
+            pytest.param(
+                "outer_iterations", 0, "outer_iterations must be an integer >= 1",
+                id="outer_iterations-0",
+            ),
+            pytest.param(
+                "outer_iterations", -3, "outer_iterations must be an integer >= 1",
+                id="outer_iterations-negative",
+            ),
+            pytest.param(
+                "stage_budget_s", float("nan"), "stage_budget_s must be None or a finite",
+                id="stage_budget_s-nan",
+            ),
+            pytest.param(
+                "stage_budget_s", float("inf"), "stage_budget_s must be None or a finite",
+                id="stage_budget_s-inf",
+            ),
+            pytest.param(
+                "stage_budget_s", -1.0, "stage_budget_s must be None or a finite",
+                id="stage_budget_s-negative",
+            ),
+            pytest.param(
+                "stage_budget_s", "abc", "stage_budget_s must be None or a finite",
+                id="stage_budget_s-str",
+            ),
         ],
     )
     def test_bad_numeric_knob_rejected(self, knob, value, message):
-        """A non-finite λ or η, a negative or non-finite skew weight and a
-        linearization iterate count that is not an integer >= 1 fail when
-        the config is built, the same three ways as above, before any
-        placement runs."""
+        """A non-finite λ or η, a negative or non-finite skew weight, a
+        linearization iterate count or outer-iteration count that is not an
+        integer >= 1, and a stage budget that is not a finite number > 0
+        fail when the config is built, the same three ways as above, before
+        any placement runs."""
         with pytest.raises(ConfigurationError, match=message):
             DSPlacerConfig(**{knob: value})
         with pytest.raises(ConfigurationError, match=message):

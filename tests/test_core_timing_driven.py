@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import DSPlacer, DSPlacerConfig
 from repro.core.extraction import build_dsp_graph
-from repro.core.placement import AssignmentConfig, DatapathDSPAssigner
+from repro.core.placement import AssignmentConfig, DatapathDSPAssigner, assignment
 from repro.netlist import CellType, Netlist
 from repro.placers import Placement
 
@@ -25,11 +25,12 @@ class TestSetCriticality:
         a = DatapathDSPAssigner(nl, small_dev, graph, [d], AssignmentConfig(lam=0.0, eta=0.0))
         return nl, a, crit_ff, slow_ff, d
 
-    def test_criticality_scales_weights(self, assigner):
+    def test_criticality_scales_weights(self, assigner, monkeypatch):
         nl, a, crit_ff, slow_ff, d = assigner
+        monkeypatch.setattr(assignment, "CRITICALITY_BOOST", 3.0)
         slack = np.full(len(nl.cells), 10.0)
         slack[crit_ff] = -1.0  # failing path through crit_ff
-        a.set_criticality(slack, period_ns=5.0, boost=3.0)
+        a.set_criticality(slack, period_ns=5.0)
         idx, val = a._neighbors[0]
         base_idx, base_val = a._base_neighbors[0]
         by_cell = dict(zip(idx, val))
@@ -45,16 +46,7 @@ class TestSetCriticality:
         base_idx, base_val = a._base_neighbors[0]
         assert np.allclose(val, base_val)
 
-    def test_clear_restores(self, assigner):
-        nl, a, crit_ff, slow_ff, d = assigner
-        slack = np.full(len(nl.cells), -2.0)
-        a.set_criticality(slack, period_ns=5.0)
-        a.clear_criticality()
-        idx, val = a._neighbors[0]
-        base_idx, base_val = a._base_neighbors[0]
-        assert np.allclose(val, base_val)
-
-    def test_pull_toward_critical_neighbor(self, assigner, small_dev):
+    def test_pull_toward_critical_neighbor(self, assigner, small_dev, monkeypatch):
         nl, a, crit_ff, slow_ff, d = assigner
         p = Placement(nl, small_dev)
         p.xy[crit_ff] = (small_dev.width - 10.0, small_dev.height - 10.0)
@@ -64,7 +56,8 @@ class TestSetCriticality:
         r0, _ = a.solve(p.copy())
         slack = np.full(len(nl.cells), 10.0)
         slack[crit_ff] = -3.0
-        a.set_criticality(slack, period_ns=5.0, boost=10.0)
+        monkeypatch.setattr(assignment, "CRITICALITY_BOOST", 10.0)
+        a.set_criticality(slack, period_ns=5.0)
         r1, _ = a.solve(p.copy())
         xy = small_dev.site_xy("DSP")
         d0 = np.abs(xy[r0[3]] - p.xy[crit_ff]).sum()
@@ -73,7 +66,7 @@ class TestSetCriticality:
 
 
 class TestTdCriticalityWeights:
-    """The one-gather reweighting helper vs the per-net loop it replaced."""
+    """The one-gather reweighting helper vs a per-net loop."""
 
     def test_matches_per_net_loop_oracle(self):
         from repro.placers.vivado_like import td_criticality_weights
@@ -83,33 +76,30 @@ class TestTdCriticalityWeights:
         slack = rng.uniform(-3.0, 8.0, n_cells)
         slack[rng.integers(0, n_cells, 6)] = np.nan
         driver = rng.integers(0, n_cells, n_nets)
-        base = rng.uniform(0.5, 2.0, n_nets)
-        current = rng.uniform(0.5, 4.0, n_nets)
+        weights = rng.uniform(0.5, 2.0, n_nets)
         period, boost = 5.0, 2.0
-        got = td_criticality_weights(slack, driver, base, current, period, boost)
+        got = td_criticality_weights(slack, driver, weights, period, boost)
         for k in range(n_nets):
             s = slack[driver[k]]
             if np.isnan(s):
-                # the loop `continue`d, preserving earlier-round boosts —
-                # the net keeps its *current* weight, not its base weight
-                assert got[k] == current[k]
+                # a driver outside the timed graph leaves its net's weight
+                assert got[k] == weights[k]
             else:
                 crit = min(max(1.0 - s / period, 0.0), 1.0)
-                assert got[k] == pytest.approx(base[k] * (1.0 + boost * crit))
+                assert got[k] == pytest.approx(weights[k] * (1.0 + boost * crit))
 
     def test_all_nan_slack_is_identity(self):
         from repro.placers.vivado_like import td_criticality_weights
 
-        current = np.array([1.5, 2.5, 0.5])
+        weights = np.array([1.5, 2.5, 0.5])
         got = td_criticality_weights(
             np.full(4, np.nan),
             np.array([0, 2, 3]),
-            np.ones(3),
-            current,
+            weights,
             5.0,
             2.0,
         )
-        np.testing.assert_array_equal(got, current)
+        np.testing.assert_array_equal(got, weights)
 
 
 class TestTimingDrivenFlow:

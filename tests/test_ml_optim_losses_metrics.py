@@ -3,27 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.ml import Adam, SGD, accuracy, confusion_matrix, f1_score, weighted_cross_entropy
+from repro.ml import Adam, accuracy, confusion_matrix, f1_score, weighted_cross_entropy
 from repro.ml.losses import class_weights_from_labels
-
-
-class TestSGD:
-    def test_step_direction(self):
-        params = {"w": np.array([1.0])}
-        SGD(lr=0.1).step(params, {"w": np.array([2.0])})
-        assert params["w"][0] == pytest.approx(0.8)
-
-    def test_momentum_accumulates(self):
-        opt = SGD(lr=0.1, momentum=0.9)
-        params = {"w": np.array([0.0])}
-        opt.step(params, {"w": np.array([1.0])})
-        opt.step(params, {"w": np.array([1.0])})
-        # second step uses velocity 1.9
-        assert params["w"][0] == pytest.approx(-0.1 - 0.19)
-
-    def test_bad_lr(self):
-        with pytest.raises(ValueError):
-            SGD(lr=0.0)
 
 
 class TestAdam:
@@ -46,6 +27,10 @@ class TestAdam:
         params = {"w": np.array([1.0])}
         opt.step(params, {"w": np.array([0.0])})
         assert params["w"][0] < 1.0
+
+    def test_bad_lr(self):
+        with pytest.raises(ValueError):
+            Adam(lr=0.0)
 
 
 class TestClassWeights:

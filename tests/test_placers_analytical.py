@@ -224,9 +224,13 @@ class TestSystemReuse:
 
 
 class TestGlobalPlaceConfig:
-    @pytest.mark.parametrize("knob", ["net_model", "b2b_eps", "b2b_method"])
+    @pytest.mark.parametrize(
+        "knob",
+        ["net_model", "b2b_eps", "b2b_method", "n_bins", "n_slabs", "cg_rtol", "cg_maxiter"],
+    )
     def test_deleted_knob_rejected(self, knob):
-        """The clique model is the only net model: B2B's knobs are gone."""
+        """The clique model is the only net model: B2B's knobs are gone. The
+        spreading grid and the CG stop are module constants."""
         with pytest.raises(TypeError, match=knob):
             GlobalPlaceConfig(**{knob: 1.0})
 
@@ -251,8 +255,9 @@ class TestCGCounters:
         assert span.attrs["cells"] == (~get_csr(mini_accel).is_fixed).sum()
         assert 0 < span.attrs["core_cells"] < span.attrs["cells"]
 
-    def test_maxiter_reached_is_counted(self, mini_accel, small_dev):
-        cfg = GlobalPlaceConfig(n_iterations=2, cg_maxiter=1)
+    def test_maxiter_reached_is_counted(self, mini_accel, small_dev, monkeypatch):
+        monkeypatch.setattr(analytical, "CG_MAXITER", 1)
+        cfg = GlobalPlaceConfig(n_iterations=2)
         place, ob = _observed_place(mini_accel, small_dev, cfg)
         assert ob.metrics.counters["global_place.cg_unconverged"] > 0
         assert np.isfinite(place.xy).all()
@@ -534,7 +539,7 @@ class TestChainElimination:
         for j in range(2):
             assert np.linalg.norm(x[:, j] - ref[:, j]) <= 1e-8 * np.linalg.norm(ref[:, j])
         # the default tolerance holds on the full system, per axis
-        rtol = GlobalPlaceConfig().cg_rtol
+        rtol = analytical.CG_RTOL
         x, _, _ = elim.solve(b, x0, rtol, 10 * n + 100, shift=alpha)
         for j, res in enumerate(_full_residuals(a, alpha, b, x)):
             assert res <= rtol * np.linalg.norm(b[:, j])
@@ -623,6 +628,7 @@ class TestRegularizer:
         solve = ChainElimination.solve
 
         def spy_solve(self, b, x0, rtol, maxiter, shift=0.0):
+            assert (rtol, maxiter) == (analytical.CG_RTOL, analytical.CG_MAXITER)
             out = solve(self, b, x0, rtol, maxiter, shift=shift)
             solved.append((x0.copy(), out[0].copy()))  # the placer jitters x in place
             return out
@@ -641,7 +647,7 @@ class TestRegularizer:
 
 class TestSolveContract:
     def test_every_clique_solve_meets_rtol_on_full_system(self, mini_accel, small_dev, monkeypatch):
-        """Each clique solve: ‖b − A x‖ ≤ cg_rtol·‖b‖ per axis on the full system."""
+        """Each clique solve: ‖b − A x‖ ≤ CG_RTOL·‖b‖ per axis on the full system."""
         systems = {}
         checked = []
         init, solve = ChainElimination.__init__, ChainElimination.solve
@@ -651,6 +657,7 @@ class TestSolveContract:
             init(self, a)
 
         def spy_solve(self, b, x0, rtol, maxiter, shift=0.0):
+            assert (rtol, maxiter) == (analytical.CG_RTOL, analytical.CG_MAXITER)
             out = solve(self, b, x0, rtol, maxiter, shift=shift)
             for j, res in enumerate(_full_residuals(systems[id(self)], shift, b, out[0])):
                 assert res <= rtol * np.linalg.norm(b[:, j])

@@ -57,6 +57,24 @@ class TestShimRemoved:
             with pytest.raises(TypeError, match="device"):
                 baseline(seed=0)
 
+    @pytest.mark.parametrize(
+        "baseline, knob, value",
+        [
+            pytest.param(VivadoLikePlacer, "n_iterations", 6, id="vivado-n_iterations"),
+            pytest.param(VivadoLikePlacer, "refine_passes", 2, id="vivado-refine_passes"),
+            pytest.param(VivadoLikePlacer, "td_rounds", 1, id="vivado-td_rounds"),
+            pytest.param(VivadoLikePlacer, "td_boost", 2.0, id="vivado-td_boost"),
+            pytest.param(VivadoLikePlacer, "pack_ble", True, id="vivado-pack_ble"),
+            pytest.param(AMFLikePlacer, "n_iterations", 14, id="amf-n_iterations"),
+            pytest.param(AMFLikePlacer, "refine_passes", 1, id="amf-refine_passes"),
+            pytest.param(AMFLikePlacer, "fabric_scale", 1.5, id="amf-fabric_scale"),
+        ],
+    )
+    def test_removed_keyword_rejected(self, small_dev, baseline, knob, value):
+        """A baseline's loop counts are module constants, not keywords."""
+        with pytest.raises(TypeError, match=knob):
+            baseline(seed=0, device=small_dev, **{knob: value})
+
 
 class TestConfigRoundTrip:
     def test_to_dict_from_dict(self):

@@ -4,11 +4,14 @@ import numpy as np
 
 from repro.placers import (
     AMFLikePlacer,
+    GlobalPlaceConfig,
     Legalizer,
     Placement,
+    QuadraticGlobalPlacer,
     VivadoLikePlacer,
     refine_sites,
 )
+from repro.placers.vivado_like import N_ITERATIONS
 
 
 class TestVivadoLike:
@@ -61,7 +64,11 @@ class TestAMFLike:
 
 class TestRefineSites:
     def test_refine_never_degrades(self, mini_accel, small_dev):
-        p = VivadoLikePlacer(seed=3, refine_passes=0, device=small_dev).place(mini_accel)
+        # the Vivado-like flow's legal placement before its refinement
+        p = QuadraticGlobalPlacer(GlobalPlaceConfig(n_iterations=N_ITERATIONS, seed=3)).place(
+            mini_accel, small_dev
+        )
+        Legalizer(small_dev).legalize(p)
         before = p.hpwl(weighted=True)
         refine_sites(p, passes=2)
         assert p.hpwl(weighted=True) <= before + 1e-6

@@ -8,8 +8,13 @@ its y coordinate was never equalized. The placer and its per-slab loop
 oracle (``tests.oracles.ReferenceSpreadPlacer``) share clipped
 ``np.digitize`` membership. With the placer's own cell areas the kernel
 must equal the oracle bit for bit; with arbitrary areas (whose sums depend
-on their order) it must match to 1e-9.
+on their order) it must match to 1e-9. The cases draw the spreading grid
+and set the module constants ``N_BINS``/``N_SLABS``, which product and
+oracle both read at call time.
 """
+
+from contextlib import contextmanager
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -17,12 +22,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fpga import small_device
-from repro.placers import GlobalPlaceConfig, QuadraticGlobalPlacer
+from repro.placers import GlobalPlaceConfig, QuadraticGlobalPlacer, analytical
 from repro.placers.analytical import _AREA_OF, _equalize, _slab_of
 from tests.oracles import ReferenceSpreadPlacer
 from tests.oracles.placers import _equalize as _equalize_reference
 
 DEV = small_device(n_dsp_cols=3, dsp_rows=12)
+
+
+@contextmanager
+def spread_grid(n_bins: int, n_slabs: int):
+    """Set the spreading grid for one example; a function-scoped
+    ``monkeypatch`` would trip hypothesis's health check."""
+    with patch.object(analytical, "N_BINS", n_bins), patch.object(analytical, "N_SLABS", n_slabs):
+        yield
 
 
 @st.composite
@@ -50,9 +63,8 @@ def cell_area_case(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     n = draw(st.one_of(st.integers(0, 8), st.integers(9, 300)))
     n_bins = draw(st.integers(2, 40))
+    n_slabs = draw(st.integers(1, 6))
     cfg = GlobalPlaceConfig(
-        n_bins=n_bins,
-        n_slabs=draw(st.integers(1, 6)),
         fabric_scale=draw(st.sampled_from([1.0, 1.5])),
         avoid_ps=draw(st.booleans()),
     )
@@ -66,7 +78,7 @@ def cell_area_case(draw):
             [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf), np.full(n, extent)],
             rng.uniform(-10.0, extent + 10.0, n),
         )
-    return pos, rng.choice(_AREA_OF, n), cfg
+    return pos, rng.choice(_AREA_OF, n), cfg, n_slabs, n_bins
 
 
 def test_cell_areas_are_multiples_of_half():
@@ -79,17 +91,18 @@ class TestVectorizedEquivalence:
     @given(spread_case())
     def test_spread_matches_reference(self, case):
         pos, areas, n_slabs, n_bins = case
-        cfg = GlobalPlaceConfig(n_slabs=n_slabs, n_bins=n_bins)
-        a = QuadraticGlobalPlacer(cfg)._spread(pos, areas, DEV)
-        b = ReferenceSpreadPlacer(cfg)._spread(pos, areas, DEV)
+        with spread_grid(n_bins, n_slabs):
+            a = QuadraticGlobalPlacer()._spread(pos, areas, DEV)
+            b = ReferenceSpreadPlacer()._spread(pos, areas, DEV)
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
 
     @settings(max_examples=150, deadline=None)
     @given(cell_area_case())
     def test_spread_bitwise_on_cell_areas(self, case):
-        pos, areas, cfg = case
-        a = QuadraticGlobalPlacer(cfg)._spread(pos, areas, DEV)
-        b = ReferenceSpreadPlacer(cfg)._spread(pos, areas, DEV)
+        pos, areas, cfg, n_slabs, n_bins = case
+        with spread_grid(n_bins, n_slabs):
+            a = QuadraticGlobalPlacer(cfg)._spread(pos, areas, DEV)
+            b = ReferenceSpreadPlacer(cfg)._spread(pos, areas, DEV)
         assert np.array_equal(a, b)
 
     @settings(max_examples=60, deadline=None)
@@ -135,8 +148,9 @@ class TestSlabBoundaryRegression:
             [np.linspace(0.0, DEV.width, n), np.full(n, DEV.height / 2)]
         )
         areas = rng.uniform(1.0, 4.0, n)
-        placer = placer_cls(GlobalPlaceConfig(n_slabs=4, n_bins=32, avoid_ps=False))
-        out = placer._spread(pos, areas, DEV)
+        placer = placer_cls(GlobalPlaceConfig(avoid_ps=False))
+        with spread_grid(32, 4):
+            out = placer._spread(pos, areas, DEV)
         top = int(np.argmax(out[:, 0]))
         assert out[top, 0] >= DEV.width - 1.5  # still the edge cell
         # all cells started at y = h/2; equalization moves the slab's

@@ -6,7 +6,6 @@ from repro.placers import VivadoLikePlacer
 from repro.timing import (
     StaticTimingAnalyzer,
     format_timing_report,
-    slack_histogram,
     top_critical_paths,
 )
 
@@ -51,19 +50,6 @@ class TestTopCriticalPaths:
             # interior is combinational
             for i in entry.cells[1:-1]:
                 assert nl.cells[i].ctype not in SEQUENTIAL_KINDS
-
-
-class TestSlackHistogram:
-    def test_counts_sum(self, analyzed):
-        rep, _ = analyzed
-        rows = slack_histogram(rep, n_bins=8)
-        assert sum(r[2] for r in rows) == rep.n_endpoints
-
-    def test_bins_cover_range(self, analyzed):
-        rep, _ = analyzed
-        rows = slack_histogram(rep)
-        assert rows[0][0] == pytest.approx(rep.endpoint_slack.min())
-        assert rows[-1][1] == pytest.approx(rep.endpoint_slack.max())
 
 
 class TestFormat:

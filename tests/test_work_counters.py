@@ -29,7 +29,6 @@ CASES = [
     # (suite, scale, fabric, DSPlacerConfig overrides, committed counters)
     pytest.param("skynet", 0.05, "zcu104", {}, {
         "assignment.iterates": 8,
-        "assignment.solves.lsa": 8,
         "extraction.iddfs.paths": 15,
         "global_place.cg_iterations": 841,
         "global_place.solves": 3,
@@ -47,7 +46,6 @@ CASES = [
     }, id="skynet@0.05-zcu104"),
     pytest.param("skynet", 0.05, "slot_fabric", {"skew_model": "htree", "skew_weight": 5.0}, {
         "assignment.iterates": 10,
-        "assignment.solves.lsa": 10,
         "extraction.iddfs.paths": 15,
         "global_place.cg_iterations": 844,
         "global_place.solves": 3,
@@ -65,7 +63,6 @@ CASES = [
     }, id="skynet@0.05-slot_fabric-htree"),
     pytest.param("skrskr2", 0.25, "zcu104", {}, {
         "assignment.iterates": 8,
-        "assignment.solves.lsa": 8,
         "extraction.iddfs.paths": 304,
         "global_place.cg_iterations": 1047,
         "global_place.solves": 3,
