@@ -9,16 +9,23 @@ config's skew model, then ``max_frequency``. Each case writes one JSON line:
 the netlist's ``netlist_content_hash`` (taken before placing), the SHA-256
 of the ``placement.site`` and ``placement.xy`` bytes, the HPWL, legality,
 fmax, WNS and TNS at the netlist's target clock, and the SHA-256 of the
-endpoint slacks. A change meant to keep netlists, placements and timing
-identical must compare equal on every case::
+endpoint slacks. The placement runs observed, so each line also records
+how the flow got there: its Fig. 6 re-placement passes
+(``incremental.replaces``), the DSPs each ``place.outer`` iteration moved,
+``health.degraded`` and the rollback count. A change meant to keep
+netlists, placements and timing identical must compare equal on every
+case::
 
     PYTHONPATH=src python benchmarks/quality_panel.py --out parent.jsonl
     PYTHONPATH=src python benchmarks/quality_panel.py --out change.jsonl
     python benchmarks/quality_panel.py --compare parent.jsonl change.jsonl
 
-``--compare`` prints one line per case and exits 1 if any case differs or
-is missing from either run. The 17 cases take about a minute on a 2-vCPU
-VM.
+``--compare`` prints one line per case: for a case that differs, its HPWL
+and fmax change in percent, and for any case whose passes or ``degraded``
+changed, that change. A last line gives the median and mean HPWL change
+over all cases, the number of cases whose fmax moved and the degraded
+counts. The exit status is 1 if any case differs or is missing from either
+run. The 17 cases take about a minute on a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import statistics
 import sys
 
 SUITES = ("ismartdnn", "skynet", "skrskr1", "skrskr2", "skrskr3")
@@ -44,6 +52,7 @@ COMPARED = (
 
 def place_case(suite: str, scale: float, seed: int) -> dict:
     """One cold default placement, its sign-off, and their fingerprint."""
+    from repro import obs
     from repro.accelgen import generate_suite
     from repro.clock import get_skew_model
     from repro.core import DSPlacer, DSPlacerConfig
@@ -56,7 +65,9 @@ def place_case(suite: str, scale: float, seed: int) -> dict:
     netlist = generate_suite(suite, scale=scale, device=device, seed=seed)
     netlist_sha256 = netlist_content_hash(netlist)
     config = DSPlacerConfig()
-    placement = DSPlacer(device, config).place(netlist).placement
+    with obs.observe() as ob:
+        result = DSPlacer(device, config).place(netlist)
+    placement = result.placement
     route = GlobalRouter().route(placement)
     sta = StaticTimingAnalyzer(netlist, skew_model=get_skew_model(config.skew_model, device))
     fmax = max_frequency(sta, placement, route)
@@ -72,6 +83,10 @@ def place_case(suite: str, scale: float, seed: int) -> dict:
         "wns_ns": report.wns_ns,
         "tns_ns": report.tns_ns,
         "slack_sha256": hashlib.sha256(report.endpoint_slack.tobytes()).hexdigest(),
+        "passes": result.report.metrics["counters"].get("incremental.replaces", 0),
+        "dsps_moved": [sp.attrs.get("dsps_moved") for sp in ob.tracer.find("place.outer")],
+        "degraded": result.health.degraded,
+        "rollbacks": result.health.n_rollbacks,
     }
 
 
@@ -81,22 +96,49 @@ def load_rows(path: str) -> dict[str, dict]:
     return {row["case"]: row for row in rows}
 
 
+def _pct(a: dict, b: dict, key: str) -> float:
+    """Percent change of ``key`` from run ``a`` to run ``b``."""
+    return 100.0 * (b[key] - a[key]) / a[key]
+
+
 def compare(path_a: str, path_b: str) -> int:
-    """Print per-case equality of two runs; 0 if every case is equal."""
+    """Print per-case equality and deltas of two runs; 0 if every case is equal."""
     a, b = load_rows(path_a), load_rows(path_b)
     n_equal = 0
+    hpwl_pct = []
+    fmax_moved = 0
     for case in sorted(a.keys() | b.keys()):
         if case not in a or case not in b:
             print(f"{case}: missing from {path_a if case not in a else path_b}")
             continue
-        diff = [k for k in COMPARED if a[case].get(k) != b[case].get(k)]
+        ra, rb = a[case], b[case]
+        hpwl_pct.append(_pct(ra, rb, "hpwl_um"))
+        fmax_moved += ra["fmax_mhz"] != rb["fmax_mhz"]
+        # the run's path: passes and ``degraded`` may move with equal placements
+        path = ", ".join(
+            f"{k} {ra.get(k)} → {rb.get(k)}"
+            for k in ("passes", "degraded")
+            if ra.get(k) != rb.get(k)
+        )
+        diff = [k for k in COMPARED if ra.get(k) != rb.get(k)]
         if diff:
-            print(f"{case}: DIFFERENT ({', '.join(diff)})")
+            line = (
+                f"{case}: DIFFERENT ({', '.join(diff)}); "
+                f"HPWL {hpwl_pct[-1]:+.4f}%, fmax {_pct(ra, rb, 'fmax_mhz'):+.4f}%"
+            )
         else:
             n_equal += 1
-            print(f"{case}: equal")
+            line = f"{case}: equal"
+        print(f"{line}; {path}" if path else line)
     total = len(a.keys() | b.keys())
     print(f"{n_equal} of {total} cases equal")
+    if hpwl_pct:
+        degraded = [sum(bool(r.get("degraded")) for r in run.values()) for run in (a, b)]
+        print(
+            f"HPWL change over {len(hpwl_pct)} cases: median "
+            f"{statistics.median(hpwl_pct):+.4f}%, mean {statistics.fmean(hpwl_pct):+.4f}%; "
+            f"fmax moved on {fmax_moved}; degraded {degraded[0]} → {degraded[1]}"
+        )
     return 0 if n_equal == total else 1
 
 

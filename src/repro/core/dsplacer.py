@@ -9,15 +9,18 @@ Ties the full flow together:
 3. **datapath-driven DSP placement** — iterate: linearized MCF assignment
    (λ datapath-angle, η cascade penalties) → ILP inter-column + exact
    intra-column cascade legalization → freeze the datapath DSPs and
-   re-place the other components (Fig. 6 alternation);
+   re-place the other components (Fig. 6 alternation). From the second
+   iteration on, one whose assignment and legalization leave every DSP on
+   its site has reached a fixed point: it skips its re-placement and ends
+   the loop;
 4. emit the final placement; routing/STA are the caller's (see
    :mod:`repro.eval`), matching the paper's use of external PnR.
 
 Run under :func:`repro.obs.observe` the flow emits a full span tree
 (``place`` → ``place.prototype`` / ``place.extraction`` / per-iteration
 ``place.outer`` → ``place.assignment`` / ``place.legalization`` /
-``place.incremental``) and attaches the :class:`~repro.obs.RunReport`
-snapshot to ``result.report``.
+``place.incremental``; each ``place.outer`` records ``dsps_moved``) and
+attaches the :class:`~repro.obs.RunReport` snapshot to ``result.report``.
 
 Example:
     >>> from repro.fpga import small_device
@@ -85,8 +88,10 @@ class DSPlacerConfig:
         eta: Cascade penalty η.
         mcf_iterations: Internal MCF linearization iterations (paper: 50;
             the loop stops early on convergence).
-        outer_iterations: Fig. 6 alternations between DSP placement and
-            other-component placement (an integer >= 1).
+        outer_iterations: Upper bound on the Fig. 6 alternations between
+            DSP placement and other-component placement (an integer >= 1).
+            The loop ends sooner when an iteration after the first moves
+            no DSP: that iteration skips its re-placement.
     """
 
     identification: str = "heuristic"
@@ -395,7 +400,8 @@ class DSPlacer:
             GlobalPlaceConfig(n_iterations=3, avoid_ps=True, seed=cfg.seed)
         )
         site_xy = self.device.site_xy("DSP")
-        dsp_cells = get_csr(netlist).dsp_indices.tolist()
+        dsp_idx = get_csr(netlist).dsp_indices
+        dsp_cells = dsp_idx.tolist()
 
         # checkpoint: best-so-far legal placement by HPWL (the rollback
         # target on stage failure / budget overrun / final regression)
@@ -413,9 +419,10 @@ class DSPlacer:
 
             sta = StaticTimingAnalyzer(netlist, skew_model=skew)
         for outer in range(1, cfg.outer_iterations + 1):
-            budget_hit = False
-            with trace.span("place.outer", i=outer):
+            budget_hit = fixed_point = False
+            with trace.span("place.outer", i=outer) as outer_sp:
                 try:
+                    start_sites = placement.site[dsp_idx]
                     if sta is not None:
                         period = 1e3 / netlist.target_freq_mhz
                         report = sta.analyze(
@@ -442,9 +449,15 @@ class DSPlacer:
                         legal = legalizer.legalize(desired, guard=legal_guard)
                         for cell, sid in legal.site_of.items():
                             placement.assign_site(cell, sid)
+                    moved = int(np.count_nonzero(placement.site[dsp_idx] != start_sites))
+                    outer_sp.set(dsps_moved=moved)
                     budget_hit = assign_guard.over_budget or legal_guard.over_budget
+                    # every DSP kept its site: the skeleton the last pass was
+                    # placed around is a fixed point, so another pass adds
+                    # nothing and the loop ends here
+                    fixed_point = outer > 1 and moved == 0
 
-                    if not budget_hit:
+                    if not budget_hit and not fixed_point:
                         maybe_fault("incremental")
                         with trace.span("place.incremental"):
                             placement = replace_other_components(
@@ -481,6 +494,8 @@ class DSPlacer:
                     assign_guard.check_budget()
                     legal_guard.check_budget()
                 health.degraded = True
+                break
+            if fixed_point:
                 break
 
         # final selection: never return worse than the checkpoint (strict

@@ -231,11 +231,49 @@ class TestGuardChecks:
             assert quality["hpwl_um"] == result.placement.hpwl()
             assert result.report.metrics["gauges"]["placement.hpwl_um"] == quality["hpwl_um"]
 
-    def test_rollback_copy_checked_again(self, calls, small_dev, mini_accel):
+    def test_rollback_copy_checked_again(self, calls):
+        # skrskr2@0.05 (netlist seed 1) moves DSPs in iteration 2, so its
+        # second re-placement runs and the fault fires there
+        device = fabric_device("zcu104", 0.05)
+        netlist = generate_suite("skrskr2", scale=0.05, device=device, seed=1)
         fi = FaultInjector().fail_on("incremental", call=2)
         with inject(fi), obs.observe():
-            result = DSPlacer(small_dev).place(mini_accel)
+            result = DSPlacer(device).place(netlist)
         assert result.health.n_rollbacks == 1
         # prototype, iteration 1, the rolled-back copy at the final selection
         assert calls == {"is_legal": 3, "hpwl": 3}
         assert result.report.quality["hpwl_um"] == result.placement.hpwl()
+
+
+class TestFixedPointStop:
+    """From outer iteration 2 on, an iteration whose assignment and cascade
+    legalization leave every DSP on its site skips its re-placement and
+    ends the loop: ``outer_iterations`` is an upper bound."""
+
+    @staticmethod
+    def _place(suite, seed, **overrides):
+        device = fabric_device("zcu104", 0.05)
+        netlist = generate_suite(suite, scale=0.05, device=device, seed=seed)
+        with obs.observe() as ob:
+            result = DSPlacer(device, DSPlacerConfig(**overrides)).place(netlist)
+        return result, ob.tracer.find("place.outer")
+
+    def test_fixed_point_returns_the_one_pass_placement(self):
+        # skynet@0.05 (netlist seed 0): iteration 2 moves no DSP
+        result, outers = self._place("skynet", 0)
+        assert result.report.metrics["counters"]["incremental.replaces"] == 1
+        assert [sp.attrs["dsps_moved"] for sp in outers][1:] == [0]
+        assert result.health.degraded is False
+        assert result.health.count("rollback") == 0
+        site, xy = result.placement.site.tobytes(), result.placement.xy.tobytes()
+        for overrides in ({"outer_iterations": 1}, {"strict": True}, {"outer_iterations": 3}):
+            other, _ = self._place("skynet", 0, **overrides)
+            assert other.placement.site.tobytes() == site, overrides
+            assert other.placement.xy.tobytes() == xy, overrides
+
+    def test_moving_iteration_keeps_its_replacement(self):
+        # skrskr2@0.05 (netlist seed 1): iteration 2 moves DSPs
+        result, outers = self._place("skrskr2", 1)
+        assert result.report.metrics["counters"]["incremental.replaces"] == 2
+        assert len(outers) == 2
+        assert all(sp.attrs["dsps_moved"] > 0 for sp in outers)

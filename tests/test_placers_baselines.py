@@ -49,11 +49,31 @@ class TestAMFLike:
         p = AMFLikePlacer(seed=1, device=small_dev).place(mini_accel)
         assert p.is_legal(), p.legality_violations()[:5]
 
-    def test_macros_compact(self, mini_accel, small_dev):
-        """Centroid collapse ⇒ every macro lands minimal-height (it must:
-        legal cascades are consecutive), and near its centroid column."""
+    def test_macros_compact(self, mini_accel, small_dev, monkeypatch):
+        """Centroid collapse ⇒ the legalizer receives every macro on one
+        point, and each macro lands minimal-height (legal cascades are
+        consecutive) in one of the two DSP columns nearest that point."""
+        handed = []
+        real = Legalizer.legalize
+
+        def spy(self, placement, movable_mask=None):
+            handed.append(placement.xy.copy())
+            return real(self, placement, movable_mask)
+
+        monkeypatch.setattr(Legalizer, "legalize", spy)
         p = AMFLikePlacer(seed=1, device=small_dev).place(mini_accel)
         assert p.is_legal()
+        (xy,) = handed
+        col_x = np.array(sorted({s.x for s in small_dev.sites("DSP")}))
+        site_col = small_dev.site_col("DSP")
+        assert mini_accel.macros
+        for macro in mini_accel.macros:
+            members = list(macro.dsps)
+            point = xy[members[0]]
+            assert (xy[members] == point).all()
+            nearest = np.argsort(np.abs(col_x - point[0]))[:2]
+            (col,) = {int(site_col[p.site[i]]) for i in members}
+            assert col in nearest
 
     def test_worse_or_equal_wirelength_than_vivado(self, mini_accel, small_dev):
         """The VCU108-tuned flow should not beat the calibrated one."""

@@ -1,5 +1,5 @@
-"""``benchmarks/quality_panel.py --compare``: per-case equality of two panel
-runs, exit status 1 on any difference."""
+"""``benchmarks/quality_panel.py --compare``: per-case equality and deltas
+of two panel runs, exit status 1 on any difference."""
 
 import json
 import subprocess
@@ -49,3 +49,36 @@ def test_missing_case_fails(tmp_path):
     assert out.returncode == 1
     assert "y: missing from" in out.stdout
     assert "1 of 2 cases equal" in out.stdout
+
+
+def test_deltas_printed(tmp_path):
+    """A case that differs prints its HPWL and fmax change and its change in
+    passes and ``degraded``; the last line summarises every case."""
+    path = {"passes": 2, "dsps_moved": [3, 1], "degraded": True, "rollbacks": 1}
+    before = {"x": {**ROW, **path}, "y": {**ROW, **path}}
+    after = {
+        "x": {**ROW, **path},
+        "y": {
+            **ROW, "site_sha256": "ab", "hpwl_um": 1.515, "fmax_mhz": 245.0,
+            "passes": 1, "dsps_moved": [3, 0], "degraded": False, "rollbacks": 0,
+        },
+    }
+    same = _compare(tmp_path, before, before)
+    assert same.returncode == 0, same.stdout
+    assert "x: equal\ny: equal\n2 of 2 cases equal\n" in same.stdout
+    assert same.stdout.endswith(
+        "HPWL change over 2 cases: median +0.0000%, mean +0.0000%; "
+        "fmax moved on 0; degraded 2 → 2\n"
+    )
+    out = _compare(tmp_path, before, after)
+    assert out.returncode == 1, out.stdout
+    assert "x: equal\n" in out.stdout
+    assert (
+        "y: DIFFERENT (site_sha256, hpwl_um, fmax_mhz); HPWL +1.0000%, fmax -2.0000%; "
+        "passes 2 → 1, degraded True → False\n"
+    ) in out.stdout
+    assert "1 of 2 cases equal\n" in out.stdout
+    assert out.stdout.endswith(
+        "HPWL change over 2 cases: median +0.5000%, mean +0.5000%; "
+        "fmax moved on 1; degraded 2 → 1\n"
+    )
