@@ -11,10 +11,10 @@ of the ``placement.site`` and ``placement.xy`` bytes, the HPWL, legality,
 fmax, WNS and TNS at the netlist's target clock, and the SHA-256 of the
 endpoint slacks. The placement runs observed, so each line also records
 how the flow got there: its Fig. 6 re-placement passes
-(``incremental.replaces``), the DSPs each ``place.outer`` iteration moved,
-``health.degraded`` and the rollback count. A change meant to keep
-netlists, placements and timing identical must compare equal on every
-case::
+(``incremental.replaces``), the DSPs each ``place.outer`` iteration moved
+and the HPWL of the iterate it produced, ``health.degraded`` and the
+rollback count. A change meant to keep netlists, placements and timing
+identical must compare equal on every case::
 
     PYTHONPATH=src python benchmarks/quality_panel.py --out parent.jsonl
     PYTHONPATH=src python benchmarks/quality_panel.py --out change.jsonl
@@ -23,9 +23,10 @@ case::
 ``--compare`` prints one line per case: for a case that differs, its HPWL
 and fmax change in percent, and for any case whose passes or ``degraded``
 changed, that change. A last line gives the median and mean HPWL change
-over all cases, the number of cases whose fmax moved and the degraded
-counts. The exit status is 1 if any case differs or is missing from either
-run. The 17 cases take about a minute on a 2-vCPU VM.
+over all cases, the number of cases whose fmax moved, and each run's
+degraded count, rollback total and geomean fmax. The exit status is 1 if
+any case differs or is missing from either run. The 17 cases take about a
+minute on a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ def place_case(suite: str, scale: float, seed: int) -> dict:
     sta = StaticTimingAnalyzer(netlist, skew_model=get_skew_model(config.skew_model, device))
     fmax = max_frequency(sta, placement, route)
     report = sta.analyze(placement, route)
+    outers = ob.tracer.find("place.outer")
     return {
         "case": f"{suite}@{scale:g}/seed{seed}",
         "netlist_sha256": netlist_sha256,
@@ -84,7 +86,8 @@ def place_case(suite: str, scale: float, seed: int) -> dict:
         "tns_ns": report.tns_ns,
         "slack_sha256": hashlib.sha256(report.endpoint_slack.tobytes()).hexdigest(),
         "passes": result.report.metrics["counters"].get("incremental.replaces", 0),
-        "dsps_moved": [sp.attrs.get("dsps_moved") for sp in ob.tracer.find("place.outer")],
+        "dsps_moved": [sp.attrs.get("dsps_moved") for sp in outers],
+        "outer_hpwl_um": [sp.attrs.get("hpwl_um") for sp in outers],
         "degraded": result.health.degraded,
         "rollbacks": result.health.n_rollbacks,
     }
@@ -134,10 +137,14 @@ def compare(path_a: str, path_b: str) -> int:
     print(f"{n_equal} of {total} cases equal")
     if hpwl_pct:
         degraded = [sum(bool(r.get("degraded")) for r in run.values()) for run in (a, b)]
+        rollbacks = [sum(r.get("rollbacks") or 0 for r in run.values()) for run in (a, b)]
+        fmax = [statistics.geometric_mean(r["fmax_mhz"] for r in run.values()) for run in (a, b)]
         print(
             f"HPWL change over {len(hpwl_pct)} cases: median "
             f"{statistics.median(hpwl_pct):+.4f}%, mean {statistics.fmean(hpwl_pct):+.4f}%; "
-            f"fmax moved on {fmax_moved}; degraded {degraded[0]} → {degraded[1]}"
+            f"fmax moved on {fmax_moved}; degraded {degraded[0]} → {degraded[1]}; "
+            f"rollbacks {rollbacks[0]} → {rollbacks[1]}; "
+            f"geomean fmax {fmax[0]:.2f} → {fmax[1]:.2f} MHz"
         )
     return 0 if n_equal == total else 1
 

@@ -19,8 +19,9 @@ Ties the full flow together:
 Run under :func:`repro.obs.observe` the flow emits a full span tree
 (``place`` → ``place.prototype`` / ``place.extraction`` / per-iteration
 ``place.outer`` → ``place.assignment`` / ``place.legalization`` /
-``place.incremental``; each ``place.outer`` records ``dsps_moved``) and
-attaches the :class:`~repro.obs.RunReport` snapshot to ``result.report``.
+``place.incremental``; each ``place.outer`` records ``dsps_moved`` and the
+``hpwl_um`` of the iterate it produced) and attaches the
+:class:`~repro.obs.RunReport` snapshot to ``result.report``.
 
 Example:
     >>> from repro.fpga import small_device
@@ -55,7 +56,12 @@ from repro.core.extraction.identification import (
 from repro.core.placement.assignment import AssignmentConfig, DatapathDSPAssigner
 from repro.core.placement.incremental import replace_other_components
 from repro.core.placement.legalization import CascadeLegalizer
-from repro.errors import ConfigurationError, NetlistValidationError, ReproError
+from repro.errors import (
+    ConfigurationError,
+    LegalizationError,
+    NetlistValidationError,
+    ReproError,
+)
 from repro.fpga.device import Device
 from repro.ml.train import GraphSample
 from repro.netlist.csr import get_csr
@@ -116,9 +122,10 @@ class DSPlacerConfig:
     #: (the other models expose no per-point arrivals).
     skew_weight: float = 0.0
     seed: int = 0
-    #: strict mode: stage failures, budget overruns and validation problems
-    #: raise their typed :class:`~repro.errors.ReproError` instead of
-    #: degrading gracefully to the last-good placement.
+    #: strict mode: stage failures, illegal iterates, budget overruns and
+    #: validation problems raise their typed :class:`~repro.errors.ReproError`
+    #: instead of rolling back to the last completed legal iterate. A run
+    #: with none of these returns the same placement in both modes.
     strict: bool = False
     #: wall-clock budget (seconds, finite and > 0) for each assignment /
     #: legalization stage invocation; ``None`` disables budgets. Cooperative:
@@ -234,7 +241,6 @@ class DSPlacerResult:
     n_datapath_dsps: int
     dsp_graph_nodes: int
     dsp_graph_edges: int
-    mcf_iterations_used: list[int] = field(default_factory=list)
     #: incident log of the resilience layer; ``health.degraded`` is True
     #: when a stage failure/budget/rollback affected the result.
     health: RunHealth = field(default_factory=RunHealth)
@@ -293,22 +299,23 @@ class DSPlacer:
                 recomputing features when the caller already has them).
 
         Returns:
-            :class:`DSPlacerResult` with a fully legal placement. Under the
-            default permissive mode, stage failures / budget overruns roll
-            the run back to the best-so-far legal placement and set
-            ``result.health.degraded`` instead of raising; with
+            :class:`DSPlacerResult` with a fully legal placement: the last
+            Fig. 6 iterate. A stage failure, an illegal iterate or a budget
+            overrun ends the alternation; under the default permissive mode
+            the run then keeps the last completed legal iterate and sets
+            ``result.health.degraded``, and with
             ``DSPlacerConfig(strict=True)`` the typed
-            :class:`~repro.errors.ReproError` propagates.
+            :class:`~repro.errors.ReproError` propagates instead.
         """
         cfg = self.config
         with trace.span(
             "place", netlist=netlist.name, base_placer=cfg.base_placer
         ) as root:
-            result, checked = self._place_flow(netlist, initial_placement, sample)
+            result = self._place_flow(netlist, initial_placement, sample)
             root.set(degraded=result.health.degraded)
         ob = obs_active()
         if ob is not None:
-            _, legal, hpwl = _verdict(result.placement, checked)
+            hpwl = result.placement.hpwl()
             metrics.gauge("placement.hpwl_um", hpwl)
             result.report = ob.report(
                 meta={
@@ -317,7 +324,7 @@ class DSPlacer:
                     "config": cfg.to_dict(),
                 },
                 health=result.health.to_dict(),
-                quality=result._quality(legal, hpwl),
+                quality=result._quality(result.placement.is_legal(), hpwl),
             )
             result.report.clock = run_clock_section(cfg, result.placement, netlist)
         return result
@@ -327,8 +334,7 @@ class DSPlacer:
         netlist: Netlist,
         initial_placement: Placement | None,
         sample: GraphSample | None,
-    ) -> tuple[DSPlacerResult, tuple[Placement, bool, float] | None]:
-        """The flow, and the last :func:`_verdict` it took, if any."""
+    ) -> DSPlacerResult:
         cfg = self.config
         health = RunHealth()
 
@@ -383,7 +389,7 @@ class DSPlacer:
             health=health,
         )
         if not datapath_dsps:
-            return result, None
+            return result
 
         skew = get_skew_model(cfg.skew_model, self.device)
         assigner = DatapathDSPAssigner(
@@ -403,14 +409,10 @@ class DSPlacer:
         dsp_idx = get_csr(netlist).dsp_indices
         dsp_cells = dsp_idx.tolist()
 
-        # checkpoint: best-so-far legal placement by HPWL (the rollback
-        # target on stage failure / budget overrun / final regression)
-        best: Placement | None = None
-        best_hpwl = np.inf
-        checked = _verdict(placement)
-        if checked[1]:
-            best = placement.copy()
-            best_hpwl = checked[2]
+        # checkpoint: the last completed legal iterate, the rollback target
+        # of a failed iteration. It starts at the prototype when that is
+        # legal: the one input the flow's own legalizers did not produce.
+        checkpoint = placement.copy() if placement.is_legal() else None
 
         # 3. incremental datapath-driven placement (Fig. 6)
         sta = None
@@ -431,8 +433,7 @@ class DSPlacer:
                         assigner.set_criticality(report.cell_output_slack, period)
                     assign_guard = SolverGuard("assignment", health, cfg.stage_budget_s)
                     with trace.span("place.assignment"):
-                        assignment, iters = assigner.solve(placement, guard=assign_guard)
-                    result.mcf_iterations_used.append(iters)
+                        assignment, _ = assigner.solve(placement, guard=assign_guard)
                     desired = {
                         cell: tuple(site_xy[sid]) for cell, sid in assignment.items()
                     }
@@ -467,26 +468,27 @@ class DSPlacer:
                                 datapath_dsps,
                                 replacer,
                             )
+                    # a fixed point moved nothing, so it is still the legal
+                    # iterate it started from
+                    if not fixed_point and not placement.is_legal():
+                        raise LegalizationError(
+                            f"outer iteration {outer} left the placement illegal"
+                        )
                 except ReproError as exc:
-                    if cfg.strict or best is None:
+                    if cfg.strict or checkpoint is None:
                         raise
                     health.record(
                         "pipeline",
                         "rollback",
                         f"outer iteration {outer} failed ({exc}); rolled back to "
-                        f"best-so-far placement (HPWL {best_hpwl:.4g})",
+                        "the last completed legal iterate",
                     )
                     health.degraded = True
-                    placement = best.copy()
+                    placement = checkpoint
                     break
+                if trace.enabled():
+                    outer_sp.set(hpwl_um=placement.hpwl())
 
-            # always a fresh check: the iteration may have moved sites of
-            # the very object checked before it
-            checked = _verdict(placement)
-            _, legal, hpwl = checked
-            if legal and hpwl < best_hpwl:
-                best = placement.copy()
-                best_hpwl = hpwl
             if budget_hit:
                 # the stage budget truncated this iteration's work; stop
                 # alternating and keep what is legal so far
@@ -497,43 +499,7 @@ class DSPlacer:
                 break
             if fixed_point:
                 break
-
-        # final selection: never return worse than the checkpoint (strict
-        # mode opts out and keeps the paper-faithful last iterate). The
-        # HPWL-regression half of the guard only applies when wirelength is
-        # the flow's sole objective — a skew-weighted run deliberately
-        # trades HPWL for clock-tap alignment, and the wirelength yardstick
-        # would revert every such trade. The last iteration's verdict holds
-        # while ``placement`` is still the object it checked: nothing moves
-        # a site after that check, and a rollback made a copy.
-        if best is not None and not cfg.strict:
-            with trace.span("place.selection"):
-                checked = _verdict(placement, checked)
-                _, final_legal, final_hpwl = checked
-                hpwl_is_objective = cfg.skew_weight == 0
-                if not final_legal or (
-                    hpwl_is_objective and final_hpwl > best_hpwl * (1.0 + 1e-12)
-                ):
-                    reason = (
-                        f"final placement HPWL {final_hpwl:.4g} regressed past "
-                        f"best-so-far {best_hpwl:.4g}"
-                        if final_legal
-                        else "final placement is not legal"
-                    )
-                    health.record("pipeline", "rollback", f"{reason}; rolled back")
-                    health.degraded = True
-                    placement = best.copy()
+            checkpoint = placement.copy()
 
         result.placement = placement
-        return result, checked
-
-
-def _verdict(
-    placement: Placement, last: tuple[Placement, bool, float] | None = None
-) -> tuple[Placement, bool, float]:
-    """``(placement, legal, hpwl)``: ``last`` when it was taken of this very
-    object, else a fresh legality check and HPWL. Reuse is exact only while
-    nothing has changed the placement since ``last`` was taken."""
-    if last is not None and last[0] is placement:
-        return last
-    return placement, placement.is_legal(), placement.hpwl()
+        return result

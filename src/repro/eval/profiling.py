@@ -22,7 +22,6 @@ FIG8_STAGES = (
     "assignment",
     "legalization",
     "incremental",
-    "selection",
 )
 
 

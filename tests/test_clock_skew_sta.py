@@ -377,31 +377,6 @@ class TestAssignmentSkewTerm:
         result = DSPlacer(dev, cfg).place(nl)
         assert result.placement.is_legal()
 
-    def test_skew_weighted_run_escapes_hpwl_rollback(self):
-        """The wirelength rollback guard must not veto skew-aware trades.
-
-        At skynet@0.05 on the slot fabric the datapath placement costs a
-        little HPWL: the skew-blind flow rolls back to the prototype, the
-        skew-weighted flow keeps its last legal iterate.
-        """
-        from repro.accelgen import generate_suite
-        from repro.core import DSPlacer
-        from repro.core.dsplacer import DSPlacerConfig
-
-        dev = slot_fabric(0.05)
-        nl = generate_suite("skynet", scale=0.05, device=dev, seed=0)
-        blind = DSPlacer(
-            dev, DSPlacerConfig(seed=0, skew_model="htree", skew_weight=0.0)
-        ).place(nl)
-        events = [e["detail"] for e in blind.health.to_dict()["events"]]
-        assert any("regressed past" in d for d in events), events
-        aware = DSPlacer(
-            dev, DSPlacerConfig(seed=0, skew_model="htree", skew_weight=5.0)
-        ).place(nl)
-        assert aware.placement.is_legal()
-        events = [e["detail"] for e in aware.health.to_dict()["events"]]
-        assert not any("regressed past" in d for d in events), events
-
     def test_dsplacer_rejects_unknown_skew_model(self):
         from repro.core.dsplacer import DSPlacerConfig
 

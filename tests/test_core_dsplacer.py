@@ -1,6 +1,6 @@
 """DSPlacer facade end-to-end tests on a small device."""
 
-import contextlib
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -11,8 +11,9 @@ from repro.accelgen import generate_suite
 from repro.core import DSPlacer, DSPlacerConfig
 from repro.core.extraction import DatapathIdentifier, build_graph_sample
 from repro.core.placement import replace_other_components
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, LegalizationError, ReproError
 from repro.fpga import fabric_device
+from repro.netlist.csr import get_csr
 from repro.placers.api import PlacementRequest
 from repro.placers import GlobalPlaceConfig, Placement, QuadraticGlobalPlacer, VivadoLikePlacer
 from repro.robustness import FaultInjector, inject
@@ -23,7 +24,8 @@ from repro.timing import StaticTimingAnalyzer
 @pytest.fixture(scope="module")
 def result(mini_accel, small_dev):
     placer = DSPlacer(small_dev, DSPlacerConfig(identification="oracle", mcf_iterations=6, seed=0))
-    return placer.place(mini_accel)
+    with obs.observe():
+        return placer.place(mini_accel)
 
 
 class TestDSPlacerFlow:
@@ -43,8 +45,16 @@ class TestDSPlacerFlow:
         assert result.dsp_graph_edges > 0
 
     def test_mcf_iterations_recorded(self, result):
-        assert len(result.mcf_iterations_used) == 2  # outer_iterations default
-        assert all(i >= 1 for i in result.mcf_iterations_used)
+        # one place.assignment span per outer iteration (outer_iterations
+        # default), each holding the linearization iterates it ran
+        per_outer = [
+            sum(child["name"] == "assignment.iterate" for child in sp["children"])
+            for sp in result.report.iter_spans()
+            if sp["name"] == "place.assignment"
+        ]
+        assert len(per_outer) == 2
+        assert all(i >= 1 for i in per_outer)
+        assert sum(per_outer) == result.report.metrics["counters"]["assignment.iterates"]
 
     def test_cascades_all_adjacent(self, result, mini_accel, small_dev):
         sites = small_dev.sites("DSP")
@@ -199,11 +209,89 @@ class TestIncrementalReplace:
         assert out.is_legal()
 
 
-class TestGuardChecks:
-    """The rollback guard checks legality and HPWL once per placement it
-    sees: the prototype and each outer iteration's result. The final
-    selection and the observed report reuse the last verdict while the
-    placement is that very object, and check a rolled-back copy afresh."""
+class TestCheckpoint:
+    """The flow returns its last Fig. 6 iterate. Its one checkpoint, the last
+    completed legal iterate (the prototype first), is the rollback target of
+    a failed iteration and of nothing else, so a fault-free run logs no
+    health event and is the same placement in permissive and strict mode."""
+
+    @staticmethod
+    def _case(suite, seed):
+        device = fabric_device("zcu104", 0.05)
+        return device, generate_suite(suite, scale=0.05, device=device, seed=seed)
+
+    @staticmethod
+    def _fingerprint(placement):
+        """SHA-256 of the site and xy bytes (short failure messages)."""
+        return tuple(
+            hashlib.sha256(a.tobytes()).hexdigest() for a in (placement.site, placement.xy)
+        )
+
+    @pytest.mark.parametrize("suite", ["ismartdnn", "skynet"])
+    def test_last_iterate_not_the_prototype(self, suite):
+        # netlist seed 1: iteration 1 is worse in HPWL than the prototype,
+        # which an HPWL rollback guard would have returned
+        device, netlist = self._case(suite, 1)
+        result = DSPlacer(device).place(netlist)
+        prototype = VivadoLikePlacer(seed=0, device=device).place(netlist)
+        assert self._fingerprint(result.placement) != self._fingerprint(prototype)
+        strict = DSPlacer(device, DSPlacerConfig(strict=True)).place(netlist)
+        assert self._fingerprint(strict.placement) == self._fingerprint(result.placement)
+        assert result.health.events == [] and result.health.degraded is False
+
+    def test_failure_rolls_back_to_last_completed_iterate(self):
+        # skrskr2@0.05 (netlist seed 1) moves DSPs in iteration 2, so its
+        # second re-placement runs and the fault fires there
+        device, netlist = self._case("skrskr2", 1)
+        with inject(FaultInjector().fail_on("incremental", call=2)):
+            result = DSPlacer(device).place(netlist)
+        assert result.health.n_rollbacks == 1
+        assert result.health.degraded is True
+        one_pass = DSPlacer(device, DSPlacerConfig(outer_iterations=1)).place(netlist)
+        assert self._fingerprint(result.placement) == self._fingerprint(one_pass.placement)
+
+    @staticmethod
+    def _second_replacement_collides(monkeypatch):
+        """Make the second re-placement put two DSPs on one site."""
+        calls = 0
+
+        def replace(netlist, device, placement, frozen, engine):
+            nonlocal calls
+            calls += 1
+            out = replace_other_components(netlist, device, placement, frozen, engine)
+            if calls == 2:
+                a, b = get_csr(netlist).dsp_indices[:2].tolist()
+                out.assign_site(b, int(out.site[a]))
+            return out
+
+        monkeypatch.setattr("repro.core.dsplacer.replace_other_components", replace)
+
+    def test_illegal_iterate_rolls_back(self, monkeypatch):
+        device, netlist = self._case("skrskr2", 1)
+        one_pass = DSPlacer(device, DSPlacerConfig(outer_iterations=1)).place(netlist)
+        self._second_replacement_collides(monkeypatch)
+        result = DSPlacer(device).place(netlist)
+        assert result.health.degraded is True
+        assert result.health.n_rollbacks == 1
+        assert result.placement.is_legal()
+        assert self._fingerprint(result.placement) == self._fingerprint(one_pass.placement)
+
+    def test_illegal_iterate_raises_in_strict_mode(self, monkeypatch):
+        device, netlist = self._case("skrskr2", 1)
+        self._second_replacement_collides(monkeypatch)
+        with pytest.raises(LegalizationError, match="outer iteration 2"):
+            DSPlacer(device, DSPlacerConfig(strict=True)).place(netlist)
+
+    def test_no_legal_checkpoint_raises(self, mini_accel, small_dev):
+        start = VivadoLikePlacer(seed=0, device=small_dev).place(mini_accel)
+        a, b = get_csr(mini_accel).dsp_indices[:2].tolist()
+        start.assign_site(b, int(start.site[a]))
+        assert not start.is_legal()
+        with inject(FaultInjector().fail_on("incremental", call=1)):
+            with pytest.raises(ReproError):
+                DSPlacer(small_dev, DSPlacerConfig(identification="oracle")).place(
+                    mini_accel, initial_placement=start
+                )
 
     @pytest.fixture()
     def calls(self, monkeypatch):
@@ -216,33 +304,28 @@ class TestGuardChecks:
             monkeypatch.setattr(Placement, name, spy)
         return calls
 
-    @pytest.mark.parametrize("observed", [False, True])
-    def test_three_checks_per_cold_place(self, calls, observed):
-        # ismartdnn@0.05 ends on its last iterate: no rollback
-        device = fabric_device("zcu104", 0.05)
-        netlist = generate_suite("ismartdnn", scale=0.05, device=device, seed=0)
-        with obs.observe() if observed else contextlib.nullcontext():
-            result = DSPlacer(device).place(netlist)
-        assert not result.health.degraded
-        assert calls == {"is_legal": 3, "hpwl": 3}
-        if observed:
-            quality = result.report.quality
-            assert quality["legal"] is True
-            assert quality["hpwl_um"] == result.placement.hpwl()
-            assert result.report.metrics["gauges"]["placement.hpwl_um"] == quality["hpwl_um"]
+    @pytest.mark.parametrize(
+        "suite, seed, passes",
+        [("ismartdnn", 0, 1), ("skrskr2", 1, 2)],  # iteration 2 a fixed point, or not
+    )
+    def test_unobserved_place_checks_legality_only(self, calls, suite, seed, passes):
+        device, netlist = self._case(suite, seed)
+        result = DSPlacer(device).place(netlist)
+        assert result.report is None and not result.health.degraded
+        # the prototype, then each iteration that was not a fixed point
+        assert calls == {"is_legal": 1 + passes}
 
-    def test_rollback_copy_checked_again(self, calls):
-        # skrskr2@0.05 (netlist seed 1) moves DSPs in iteration 2, so its
-        # second re-placement runs and the fault fires there
-        device = fabric_device("zcu104", 0.05)
-        netlist = generate_suite("skrskr2", scale=0.05, device=device, seed=1)
-        fi = FaultInjector().fail_on("incremental", call=2)
-        with inject(fi), obs.observe():
+    def test_observed_place_records_the_hpwl_trajectory(self, calls):
+        device, netlist = self._case("skrskr2", 1)
+        with obs.observe() as ob:
             result = DSPlacer(device).place(netlist)
-        assert result.health.n_rollbacks == 1
-        # prototype, iteration 1, the rolled-back copy at the final selection
-        assert calls == {"is_legal": 3, "hpwl": 3}
-        assert result.report.quality["hpwl_um"] == result.placement.hpwl()
+        outers = ob.tracer.find("place.outer")
+        # one HPWL per iterate, one more for the report's quality
+        assert calls == {"is_legal": 4, "hpwl": len(outers) + 1}
+        quality = result.report.quality
+        assert quality["legal"] is True
+        assert quality["hpwl_um"] == outers[-1].attrs["hpwl_um"] == result.placement.hpwl()
+        assert result.report.metrics["gauges"]["placement.hpwl_um"] == quality["hpwl_um"]
 
 
 class TestFixedPointStop:

@@ -111,7 +111,6 @@ class TestProfiling:
                 )
                 for wall, a, lg, inc in ((2.5, 0.5, 0.25, 1.5), (2.75, 0.75, 0.5, 1.25))
             ),
-            s("place.selection", 0.125),
         )
         rb = RuntimeBreakdown.from_spans("x", place, s("route", 0.75))
         # assignment, legalization and incremental sum over both outer spans;
@@ -123,8 +122,7 @@ class TestProfiling:
             "assignment": 1.25,
             "legalization": 0.75,
             "incremental": 2.75,
-            "selection": 0.125,
-            "unattributed": 1.375,
+            "unattributed": 1.5,
             "routing": 0.75,
         }
         assert rb.total == 10.75
@@ -133,7 +131,7 @@ class TestProfiling:
         s = self._span
         place = s("place", 2.0, s("place.validation", 0.5), s("place.prototype", 1.0))
         rb = RuntimeBreakdown.from_spans("x", place, s("route", 0.5))
-        assert rb.seconds["assignment"] == rb.seconds["selection"] == 0.0
+        assert rb.seconds["assignment"] == rb.seconds["incremental"] == 0.0
         assert rb.seconds["unattributed"] == 0.5
 
     def test_traced_reads_the_active_observation(self):

@@ -280,7 +280,6 @@ class TestObservedFlow:
             "place.legalization",
             "place.incremental",
             "place.validation",
-            "place.selection",
         ):
             assert required in names, required
         assert len(rep.metric_names()) >= 10

@@ -53,14 +53,19 @@ def test_missing_case_fails(tmp_path):
 
 def test_deltas_printed(tmp_path):
     """A case that differs prints its HPWL and fmax change and its change in
-    passes and ``degraded``; the last line summarises every case."""
-    path = {"passes": 2, "dsps_moved": [3, 1], "degraded": True, "rollbacks": 1}
+    passes and ``degraded``; the last line summarises every case, with each
+    run's degraded count, rollback total and geomean fmax."""
+    path = {
+        "passes": 2, "dsps_moved": [3, 1], "outer_hpwl_um": [1.25, 1.5],
+        "degraded": True, "rollbacks": 1,
+    }
     before = {"x": {**ROW, **path}, "y": {**ROW, **path}}
     after = {
         "x": {**ROW, **path},
         "y": {
             **ROW, "site_sha256": "ab", "hpwl_um": 1.515, "fmax_mhz": 245.0,
-            "passes": 1, "dsps_moved": [3, 0], "degraded": False, "rollbacks": 0,
+            "passes": 1, "dsps_moved": [3, 0], "outer_hpwl_um": [1.25, 1.515],
+            "degraded": False, "rollbacks": 0,
         },
     }
     same = _compare(tmp_path, before, before)
@@ -68,7 +73,7 @@ def test_deltas_printed(tmp_path):
     assert "x: equal\ny: equal\n2 of 2 cases equal\n" in same.stdout
     assert same.stdout.endswith(
         "HPWL change over 2 cases: median +0.0000%, mean +0.0000%; "
-        "fmax moved on 0; degraded 2 → 2\n"
+        "fmax moved on 0; degraded 2 → 2; rollbacks 2 → 2; geomean fmax 250.00 → 250.00 MHz\n"
     )
     out = _compare(tmp_path, before, after)
     assert out.returncode == 1, out.stdout
@@ -80,5 +85,5 @@ def test_deltas_printed(tmp_path):
     assert "1 of 2 cases equal\n" in out.stdout
     assert out.stdout.endswith(
         "HPWL change over 2 cases: median +0.5000%, mean +0.5000%; "
-        "fmax moved on 1; degraded 2 → 1\n"
+        "fmax moved on 1; degraded 2 → 1; rollbacks 2 → 1; geomean fmax 250.00 → 247.49 MHz\n"
     )
